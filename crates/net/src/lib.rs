@@ -18,8 +18,8 @@
 //!         │  └ ServingRuntime│      │  └ ServingRuntime│   workers serve from the
 //!         │     workers +    │      │     workers +    │   epoch-swapped snapshot;
 //!         │     updater owns │      │     updater owns │   control frames run via
-//!         │     the node     │      │     the node     │   with_node on the updater
-//!         └──────────────────┘      └──────────────────┘
+//!         │     the node     │      │     the node     │   with_node_async on the
+//!         └──────────────────┘      └──────────────────┘   updater
 //! ```
 //!
 //! * [`wire`] — the length-prefixed binary codec: inference requests/predictions,
@@ -35,16 +35,15 @@
 //!   nonblocking mode (incremental frame decode, replies routed back by connection id,
 //!   outbound buffers drained on `EPOLLOUT`, reply-exact teardown under churn).
 //!   Inference frames enter the worker queues like in-process submissions; control
-//!   frames execute against the authoritative node on the updater thread. A corrected
-//!   thread-per-connection engine remains as the no-epoll fallback.
+//!   frames execute against the authoritative node on the updater thread. The server
+//!   needs epoll: `ReplicaServer::start` returns an error where none can be created.
 //! * [`client`] — [`client::MultiConnClient`]: N pipelined connections multiplexed on
 //!   the caller's thread over the same poller; the harness behind the
 //!   many-connection sweep (`cargo bench --bench net_many_conn`) and churn tests.
 //! * [`driver`] — [`driver::run_distributed`]: spawn N replicas, drive routed open-loop
 //!   load, execute the strategy's update traffic as real frames, and measure every byte
 //!   at the socket. [`driver::scrape_replica`] makes the monitoring round-trip a
-//!   one-liner: connect, send `Stats`, return the replica's flattened live telemetry
-//!   (both serving engines answer with the same gauge names).
+//!   one-liner: connect, send `Stats`, return the replica's flattened live telemetry.
 //! * [`backend`] — [`backend::DistributedBackend`], the fourth
 //!   [`ExecutionBackend`](liveupdate_scenario::ExecutionBackend): every
 //!   `scenarios/*.json` runs on sockets unchanged and reports into the same

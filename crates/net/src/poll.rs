@@ -21,8 +21,13 @@
 //!   any number of pending wakes into one readable event, which is exactly the
 //!   semantics a "you have mail" doorbell wants.
 //!
-//! Everything here is `linux`-only (the repo's target per `ROADMAP.md`); the event-loop
-//! server falls back to thread-per-connection where a poller cannot be constructed.
+//! * **Hangup is readable, not an error**: a socket that shut its own write side and
+//!   then receives the peer's FIN reports `EPOLLHUP` while the peer's last bytes may
+//!   still be buffered. Mapping it to `readable` sends the caller down its read path,
+//!   which drains those bytes before it sees EOF; only `EPOLLERR` means they are lost.
+//!
+//! Everything here is `linux`-only (the repo's target per `ROADMAP.md`), and the
+//! event-loop server needs it: without epoll a replica does not start.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -42,11 +47,12 @@ struct RawEpollEvent {
 pub struct Event {
     /// The token the file descriptor was registered with.
     pub token: u64,
-    /// The descriptor has bytes to read (or a pending accept), or the peer closed.
+    /// The descriptor has bytes to read (or a pending accept), or the peer closed
+    /// (`EPOLLRDHUP`/`EPOLLHUP`; buffered bytes are still readable before the EOF).
     pub readable: bool,
     /// The descriptor's send buffer has room.
     pub writable: bool,
-    /// Error or hangup — the connection is dead regardless of buffered data.
+    /// Socket error (`EPOLLERR`) — the connection is dead regardless of buffered data.
     pub error: bool,
 }
 
@@ -250,7 +256,7 @@ impl Poller {
                 token: data,
                 readable: events & (ffi::EPOLLIN | ffi::EPOLLRDHUP | ffi::EPOLLHUP) != 0,
                 writable: events & ffi::EPOLLOUT != 0,
-                error: events & (ffi::EPOLLERR | ffi::EPOLLHUP) != 0,
+                error: events & ffi::EPOLLERR != 0,
             });
         }
         Ok(())
@@ -384,6 +390,14 @@ mod tests {
         drop(a);
         let events = poller.wait(Some(1000)).unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.readable));
+
+        // Both directions shut (EPOLLHUP) is still readable, not an error: bytes
+        // buffered before the hangup must be read, not dropped.
+        b.shutdown(std::net::Shutdown::Write).unwrap();
+        let events = poller.wait(Some(1000)).unwrap();
+        assert!(events
+            .iter()
+            .any(|e| e.token == 7 && e.readable && !e.error));
 
         poller.delete(b.as_raw_fd()).unwrap();
         assert!(poller.wait(Some(0)).unwrap().is_empty());

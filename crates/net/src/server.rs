@@ -32,25 +32,22 @@
 //! stops being read, but the connection stays open until every accepted request has
 //! answered (`InferReply`), every pending control command has acknowledged, and the
 //! outbound buffer has flushed — then the socket closes and leaves the registry, so
-//! connection churn never grows server state.
+//! connection churn never grows server state. While it drains, the connection is
+//! registered for write readiness only: its level-triggered EOF would otherwise wake
+//! the loop continuously until the last owed reply arrived.
 //!
-//! Where a poller cannot be constructed, [`ReplicaServer::start`] falls back to the
-//! historical thread-per-connection arrangement ([`ReplicaServer::start_threaded`]),
-//! kept correct under churn: finished handler threads are reaped as their connections
-//! close (bookkeeping stays bounded), a closing runtime nacks in-flight requests with
-//! `InferShed` instead of silently dropping them, and the connection writer flushes
-//! only when its outbound channel momentarily drains rather than after every frame.
+//! The loop needs epoll: [`ReplicaServer::start`] returns an error when the poller or
+//! its waker cannot be created (Linux is the only target).
 //!
-//! Lifecycle and reporting stay in-process: [`ReplicaServer::shutdown`] unblocks every
-//! connection, joins the threads, and returns the runtime's measured report plus the
+//! Lifecycle and reporting stay in-process: [`ReplicaServer::shutdown`] closes every
+//! connection, joins the loop, and returns the runtime's measured report plus the
 //! final node — the sockets are the data path, not the management plane.
 
 use crate::poll::{Interest, Poller, Waker};
-use crate::wire::{read_frame, write_frame, Frame, FrameAssembler, LoraRowUpdate, WireError};
+use crate::wire::{Frame, FrameAssembler, LoraRowUpdate};
 use liveupdate::engine::ServingNode;
 use liveupdate::sync::LoraPeer;
 use liveupdate_dlrm::model::DlrmConfig;
-use liveupdate_dlrm::sample::Sample;
 use liveupdate_obs::{Counter, Gauge, LogLinearHistogram};
 use liveupdate_runtime::config::RuntimeConfig;
 use liveupdate_runtime::policy::UpdatePolicy;
@@ -63,7 +60,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -91,32 +88,15 @@ impl ServerBytes {
     }
 }
 
-/// Which engine serves the sockets.
-enum Engine {
-    /// The epoll readiness loop: one thread owns every connection.
-    EventLoop {
-        waker: Arc<Waker>,
-        thread: Option<JoinHandle<()>>,
-    },
-    /// Thread-per-connection fallback (reader + writer thread per accepted socket).
-    Threaded {
-        /// Open connections by id, so `shutdown` can force blocked readers out.
-        /// Handlers remove their entry on exit — connection churn must not grow the
-        /// registry (pinned by `tests/connection_churn.rs`).
-        live_streams: Arc<Mutex<HashMap<u64, TcpStream>>>,
-        accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
-    },
-}
-
-/// A running TCP replica: listener + serving engine around one [`ServingRuntime`].
+/// A running TCP replica: listener + epoll event loop around one [`ServingRuntime`].
 pub struct ReplicaServer {
     addr: SocketAddr,
     runtime: Arc<ServingRuntime>,
     stop: Arc<AtomicBool>,
     bytes: Arc<ServerBytes>,
     open_connections: Arc<AtomicUsize>,
-    handler_backlog: Arc<AtomicUsize>,
-    engine: Engine,
+    waker: Arc<Waker>,
+    thread: JoinHandle<()>,
 }
 
 impl std::fmt::Debug for ReplicaServer {
@@ -133,12 +113,9 @@ impl ReplicaServer {
     /// `interval` (`None` = ingest-only, the arrangement parameter-pull strategies use —
     /// their updates arrive as control frames instead).
     ///
-    /// Connections are served by the epoll event loop; if a poller cannot be
-    /// constructed the server falls back to [`Self::start_threaded`]'s arrangement.
-    ///
     /// # Errors
     ///
-    /// Propagates listener-creation failures.
+    /// Propagates epoll/eventfd creation, listener-creation and registration failures.
     ///
     /// # Panics
     ///
@@ -149,43 +126,19 @@ impl ReplicaServer {
         interval: Duration,
         policy: Option<Box<dyn UpdatePolicy>>,
     ) -> std::io::Result<Self> {
-        match Poller::new().and_then(|p| Waker::new().map(|w| (p, w))) {
-            Ok((poller, waker)) => {
-                Self::start_event_loop(node, cfg, interval, policy, poller, waker)
-            }
-            Err(_) => Self::start_threaded(node, cfg, interval, policy),
-        }
-    }
-
-    fn start_parts(
-        node: ServingNode,
-        cfg: RuntimeConfig,
-        interval: Duration,
-        policy: Option<Box<dyn UpdatePolicy>>,
-    ) -> std::io::Result<(Arc<ServingRuntime>, TcpListener, SocketAddr)> {
-        let runtime = Arc::new(ServingRuntime::start_with_policy(
-            node, cfg, interval, policy,
-        ));
+        let poller = Poller::new()?;
+        let waker = Arc::new(Waker::new()?);
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        Ok((runtime, listener, addr))
-    }
-
-    /// Start with the epoll engine (the default path of [`Self::start`]).
-    fn start_event_loop(
-        node: ServingNode,
-        cfg: RuntimeConfig,
-        interval: Duration,
-        policy: Option<Box<dyn UpdatePolicy>>,
-        poller: Poller,
-        waker: Waker,
-    ) -> std::io::Result<Self> {
-        let (runtime, listener, addr) = Self::start_parts(node, cfg, interval, policy)?;
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        poller.add(waker.fd(), TOKEN_WAKER, Interest::READ)?;
+        let runtime = Arc::new(ServingRuntime::start_with_policy(
+            node, cfg, interval, policy,
+        ));
         let stop = Arc::new(AtomicBool::new(false));
         let bytes = Arc::new(ServerBytes::default());
         let open_connections = Arc::new(AtomicUsize::new(0));
-        let waker = Arc::new(waker);
 
         // The model geometry is fixed for the runtime's lifetime; snapshot it once so
         // every inference frame can be validated without a node round-trip.
@@ -220,117 +173,8 @@ impl ReplicaServer {
             stop,
             bytes,
             open_connections,
-            handler_backlog: Arc::new(AtomicUsize::new(0)),
-            engine: Engine::EventLoop {
-                waker,
-                thread: Some(thread),
-            },
-        })
-    }
-
-    /// Start with the thread-per-connection fallback engine: an accept loop that spawns
-    /// a reader + writer thread pair per connection and reaps them as connections
-    /// close. Public so the fallback stays tested; [`Self::start`] only uses it when no
-    /// epoll instance is available.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener-creation failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the runtime configuration is invalid.
-    pub fn start_threaded(
-        node: ServingNode,
-        cfg: RuntimeConfig,
-        interval: Duration,
-        policy: Option<Box<dyn UpdatePolicy>>,
-    ) -> std::io::Result<Self> {
-        let (runtime, listener, addr) = Self::start_parts(node, cfg, interval, policy)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let live_streams: Arc<Mutex<HashMap<u64, TcpStream>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let bytes = Arc::new(ServerBytes::default());
-        let open_connections = Arc::new(AtomicUsize::new(0));
-        let handler_backlog = Arc::new(AtomicUsize::new(0));
-
-        let accept_runtime = Arc::clone(&runtime);
-        let accept_stop = Arc::clone(&stop);
-        let accept_streams = Arc::clone(&live_streams);
-        let accept_bytes = Arc::clone(&bytes);
-        let accept_open = Arc::clone(&open_connections);
-        let accept_backlog = Arc::clone(&handler_backlog);
-        let accept_thread = thread::Builder::new()
-            .name(format!("lu-net-accept-{}", addr.port()))
-            .spawn(move || {
-                let mut handlers: HashMap<u64, JoinHandle<()>> = HashMap::new();
-                // Connections report themselves here when their handler finishes, so
-                // the accept loop joins exactly the threads that are already done —
-                // under churn the handler map stays bounded by *live* connections.
-                let finished: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-                let mut next_conn_id = 0u64;
-                while !accept_stop.load(Ordering::Acquire) {
-                    for conn_id in finished.lock().expect("finished list").drain(..) {
-                        if let Some(handle) = handlers.remove(&conn_id) {
-                            let _ = handle.join();
-                            accept_backlog.store(handlers.len(), Ordering::Release);
-                        }
-                    }
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let _ = stream.set_nodelay(true);
-                            let conn_id = next_conn_id;
-                            next_conn_id += 1;
-                            if let Ok(registered) = stream.try_clone() {
-                                accept_streams
-                                    .lock()
-                                    .expect("stream registry")
-                                    .insert(conn_id, registered);
-                            }
-                            accept_open.fetch_add(1, Ordering::AcqRel);
-                            let runtime = Arc::clone(&accept_runtime);
-                            let bytes = Arc::clone(&accept_bytes);
-                            let registry = Arc::clone(&accept_streams);
-                            let open = Arc::clone(&accept_open);
-                            let backlog = Arc::clone(&accept_backlog);
-                            let done = Arc::clone(&finished);
-                            handlers.insert(
-                                conn_id,
-                                thread::Builder::new()
-                                    .name("lu-net-conn".into())
-                                    .spawn(move || {
-                                        handle_connection(
-                                            stream, &runtime, &bytes, &open, &backlog,
-                                        );
-                                        registry.lock().expect("stream registry").remove(&conn_id);
-                                        open.fetch_sub(1, Ordering::AcqRel);
-                                        done.lock().expect("finished list").push(conn_id);
-                                    })
-                                    .expect("spawn connection handler"),
-                            );
-                            accept_backlog.store(handlers.len(), Ordering::Release);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                handlers.into_values().collect()
-            })
-            .expect("spawn accept thread");
-
-        Ok(Self {
-            addr,
-            runtime,
-            stop,
-            bytes,
-            open_connections,
-            handler_backlog,
-            engine: Engine::Threaded {
-                live_streams,
-                accept: Some(accept_thread),
-            },
+            waker,
+            thread,
         })
     }
 
@@ -353,288 +197,23 @@ impl ReplicaServer {
         self.open_connections.load(Ordering::Acquire)
     }
 
-    /// Per-connection handler threads currently tracked (thread-per-connection engine
-    /// only; always 0 on the event loop). Bounded by live connections, not by total
-    /// connections ever accepted.
-    #[must_use]
-    pub fn handler_backlog(&self) -> usize {
-        self.handler_backlog.load(Ordering::Acquire)
-    }
-
-    /// Stop accepting, unblock and join every connection, shut the runtime down, and
-    /// return its measured report plus the final authoritative node. Clients should
-    /// close (or `Bye`) their connections first; any still-open socket is forcibly shut
-    /// so the join cannot hang.
+    /// Stop accepting, close every connection, join the event loop, shut the runtime
+    /// down, and return its measured report plus the final authoritative node. Clients
+    /// should close (or `Bye`) their connections first; any still-open socket is
+    /// forcibly shut so the join cannot hang.
     ///
     /// # Panics
     ///
-    /// Panics if a server or runtime thread panicked.
+    /// Panics if the event loop or a runtime thread panicked.
     #[must_use]
-    pub fn shutdown(mut self) -> (RuntimeReport, ServingNode) {
+    pub fn shutdown(self) -> (RuntimeReport, ServingNode) {
         self.stop.store(true, Ordering::Release);
-        match &mut self.engine {
-            Engine::EventLoop { waker, thread } => {
-                waker.wake();
-                thread
-                    .take()
-                    .expect("event loop thread present")
-                    .join()
-                    .expect("event loop thread panicked");
-            }
-            Engine::Threaded {
-                live_streams,
-                accept,
-            } => {
-                // Force every still-open connection closed; blocked readers see
-                // EOF/error.
-                for (_, stream) in live_streams.lock().expect("stream registry").drain() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-                let handlers = accept
-                    .take()
-                    .expect("accept thread present")
-                    .join()
-                    .expect("accept thread panicked");
-                for handler in handlers {
-                    handler.join().expect("connection handler panicked");
-                }
-            }
-        }
-        let runtime = Arc::try_unwrap(self.runtime).expect("every handler released the runtime");
+        self.waker.wake();
+        self.thread.join().expect("event loop thread panicked");
+        let runtime = Arc::try_unwrap(self.runtime).expect("the event loop released the runtime");
         runtime.finish()
     }
 }
-
-// ---------------------------------------------------------------------------
-// Frame classification (shared by both engines)
-// ---------------------------------------------------------------------------
-
-/// What one inbound frame asks of the replica.
-enum Inbound {
-    /// Score a sample through the worker pipeline; reply `InferReply`/`InferShed`.
-    Infer {
-        id: u64,
-        time_minutes: f64,
-        trace_id: u64,
-        parent_span_id: u64,
-        sample: Sample,
-    },
-    /// Execute against the authoritative node on the updater thread and reply with the
-    /// returned frame, publishing a fresh snapshot first when `publish` is set.
-    Control {
-        publish: bool,
-        action: Box<dyn FnOnce(&mut ServingNode) -> Frame + Send>,
-    },
-    /// Scrape the runtime's telemetry registry; reply `StatsReply` inline (no updater
-    /// round-trip — the registry is lock-free on the serving side).
-    Stats,
-    /// Drain completed spans and raw histogram buckets; reply `TraceDumpReply` inline
-    /// (the span ring and the histograms are lock-free like the registry).
-    TraceDump,
-    /// Graceful close; stop reading, flush what is owed, then close.
-    Bye,
-    /// A reply-direction frame a replica never receives; nack and close.
-    BadDirection,
-}
-
-/// Fold the server-level connection gauges into the runtime's registry (when telemetry
-/// is on) and scrape it. Both engines answer `Stats` through here, so the gauge names —
-/// `net_open_connections`, `net_handler_backlog` — are identical regardless of which
-/// engine serves the socket.
-fn stats_reply(runtime: &ServingRuntime, open: usize, backlog: usize) -> Frame {
-    if let Some(tel) = runtime.telemetry() {
-        tel.registry.gauge("net_open_connections").set(open as i64);
-        tel.registry
-            .gauge("net_handler_backlog")
-            .set(backlog as i64);
-    }
-    Frame::StatsReply {
-        metrics: runtime.scrape(),
-    }
-}
-
-/// Drain the replica's completed spans and snapshot its histograms in mergeable
-/// bucket form. Both engines answer `TraceDump` through here; with telemetry off
-/// both vectors are empty, which a cluster scraper treats as "nothing to merge".
-fn trace_dump_reply(runtime: &ServingRuntime) -> Frame {
-    Frame::TraceDumpReply {
-        spans: runtime.drain_spans(),
-        histograms: runtime
-            .scrape_histograms()
-            .into_iter()
-            .map(|(name, snapshot)| (name, snapshot.nonzero_buckets()))
-            .collect(),
-    }
-}
-
-/// Bounds-check a `(table, row)` pair against the node's geometry.
-fn in_bounds(node: &ServingNode, table: u32, row: u64) -> bool {
-    let tables = node.serving_model().tables();
-    (table as usize) < tables.len() && (row as usize) < tables[table as usize].num_rows()
-}
-
-fn outcome_frame(outcome: Result<(), &'static str>) -> Frame {
-    match outcome {
-        Ok(()) => Frame::Ack,
-        Err(reason) => Frame::Nack {
-            reason: reason.to_string(),
-        },
-    }
-}
-
-/// Map an inbound frame onto the action that executes it. Control arms are plain
-/// node-to-frame closures, so the blocking engine runs them via
-/// [`ServingRuntime::with_node`] and the event loop via
-/// [`ServingRuntime::with_node_async`] — one protocol, two schedulers.
-fn classify(frame: Frame) -> Inbound {
-    match frame {
-        Frame::InferRequest {
-            id,
-            time_minutes,
-            trace_id,
-            parent_span_id,
-            sample,
-        } => Inbound::Infer {
-            id,
-            time_minutes,
-            trace_id,
-            parent_span_id,
-            sample,
-        },
-        Frame::PullSupport => Inbound::Control {
-            publish: false,
-            action: Box::new(|node| Frame::Support {
-                rows: node
-                    .lora_support()
-                    .into_iter()
-                    .map(|(table, row)| (table as u32, row as u64))
-                    .collect(),
-            }),
-        },
-        Frame::PullLoraRows { rows } => Inbound::Control {
-            publish: false,
-            action: Box::new(move |node| Frame::LoraRows {
-                rows: rows
-                    .into_iter()
-                    .filter(|&(table, row)| in_bounds(node, table, row))
-                    .map(|(table, row)| LoraRowUpdate {
-                        table,
-                        row,
-                        values: node.export_lora_row(table as usize, row as usize),
-                    })
-                    .collect(),
-            }),
-        },
-        Frame::PushLoraRows { rows } => Inbound::Control {
-            publish: false,
-            // Stage the rows without materialising: the B broadcast may still follow,
-            // and the Publish frame rematerialises every active row once.
-            action: Box::new(move |node| {
-                for row in &rows {
-                    if !in_bounds(node, row.table, row.row) {
-                        return outcome_frame(Err("LoRA row index out of bounds"));
-                    }
-                }
-                for row in rows {
-                    LoraPeer::import_a_row(node, row.table as usize, row.row as usize, row.values);
-                }
-                outcome_frame(Ok(()))
-            }),
-        },
-        Frame::PullB { table } => Inbound::Control {
-            publish: false,
-            action: Box::new(move |node| {
-                let t = table as usize;
-                if t >= node.loras().len() {
-                    return Frame::Nack {
-                        reason: "table out of bounds".into(),
-                    };
-                }
-                Frame::BFactor {
-                    table,
-                    source_rank: LoraPeer::lora_rank(node, t) as u32,
-                    values: LoraPeer::export_b(node, t),
-                }
-            }),
-        },
-        Frame::PushB {
-            table,
-            source_rank,
-            values,
-        } => Inbound::Control {
-            publish: false,
-            action: Box::new(move |node| {
-                let t = table as usize;
-                if t >= node.loras().len() {
-                    return outcome_frame(Err("table out of bounds"));
-                }
-                if values.len() != source_rank as usize * node.loras()[t].dim() {
-                    return outcome_frame(Err("B factor shape mismatch"));
-                }
-                LoraPeer::import_b(node, t, &values, source_rank as usize);
-                outcome_frame(Ok(()))
-            }),
-        },
-        Frame::PushEmbeddingRows { rows } => Inbound::Control {
-            publish: true,
-            action: Box::new(move |node| {
-                let dim = node.serving_model().config().embedding_dim;
-                for row in &rows {
-                    if !in_bounds(node, row.table, row.row) {
-                        return outcome_frame(Err("embedding row index out of bounds"));
-                    }
-                    if row.values.len() != dim {
-                        return outcome_frame(Err("embedding row dimension mismatch"));
-                    }
-                }
-                for row in rows {
-                    node.apply_embedding_row_pull(
-                        row.table as usize,
-                        row.row as usize,
-                        &row.values,
-                    );
-                }
-                outcome_frame(Ok(()))
-            }),
-        },
-        Frame::FullModel { params } => Inbound::Control {
-            publish: true,
-            action: Box::new(move |node| {
-                if params.len() != node.serving_model().parameter_count() {
-                    return outcome_frame(Err("parameter vector length mismatch"));
-                }
-                let mut fresh = node.serving_model().clone();
-                fresh.import_parameters(&params);
-                node.full_sync(fresh);
-                outcome_frame(Ok(()))
-            }),
-        },
-        Frame::Publish => Inbound::Control {
-            publish: true,
-            action: Box::new(|node| {
-                node.refresh_serving_rows();
-                Frame::Ack
-            }),
-        },
-        Frame::Stats => Inbound::Stats,
-        Frame::TraceDump => Inbound::TraceDump,
-        Frame::Bye => Inbound::Bye,
-        // A replica never receives reply-direction frames; reject and close.
-        Frame::InferReply { .. }
-        | Frame::InferShed { .. }
-        | Frame::Support { .. }
-        | Frame::LoraRows { .. }
-        | Frame::BFactor { .. }
-        | Frame::Ack
-        | Frame::Nack { .. }
-        | Frame::StatsReply { .. }
-        | Frame::TraceDumpReply { .. } => Inbound::BadDirection,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Engine 1: the epoll event loop
-// ---------------------------------------------------------------------------
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
@@ -655,8 +234,8 @@ struct Conn {
     /// Reading has stopped (peer EOF, `Bye`, or protocol error); close once `owed`
     /// reaches zero and the outbound buffer is flushed.
     draining: bool,
-    /// Whether the current epoll registration includes write interest.
-    want_write: bool,
+    /// The connection's current epoll registration.
+    interest: Interest,
 }
 
 impl Conn {
@@ -699,6 +278,23 @@ impl Conn {
     /// `true` once the connection owes nothing more and may close.
     fn drained(&self) -> bool {
         self.draining && self.owed == 0 && self.out_pending() == 0
+    }
+
+    /// The registration this connection needs now: reads until it starts draining,
+    /// writes only while unflushed bytes remain.
+    fn wanted_interest(&self) -> Interest {
+        Interest {
+            readable: !self.draining,
+            writable: self.out_pending() > 0,
+        }
+    }
+
+    /// Count one more reply the runtime owes this connection.
+    fn owe(&mut self, ctx: &LoopCtx) {
+        self.owed += 1;
+        if let Some(stats) = &ctx.stats {
+            stats.owed.inc();
+        }
     }
 }
 
@@ -749,17 +345,6 @@ struct EventLoop {
 
 impl EventLoop {
     fn run(&mut self) {
-        if self
-            .poller
-            .add(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .is_err()
-            || self
-                .poller
-                .add(self.ctx.waker.fd(), TOKEN_WAKER, Interest::READ)
-                .is_err()
-        {
-            return;
-        }
         // Readiness scratch, hoisted so the steady-state poll never allocates: it grows
         // to the 256-event high-water mark once and is cleared in place per wakeup.
         let mut events = Vec::with_capacity(256);
@@ -818,7 +403,7 @@ impl EventLoop {
                             out_pos: 0,
                             owed: 0,
                             draining: false,
-                            want_write: false,
+                            interest: Interest::READ,
                         },
                     );
                 }
@@ -838,8 +423,8 @@ impl EventLoop {
         let mut touched = std::mem::take(&mut self.touched);
         touched.clear();
         while let Ok((token, frame)) = self.reply_rx.try_recv() {
-            // A reply for a connection that already died is dropped on the floor —
-            // exactly what the blocking engine's broken-pipe write did.
+            // A reply for a connection that already died is dropped on the floor: its
+            // peer is gone, so there is no one left to answer.
             if let Some(conn) = self.conns.get_mut(&token) {
                 if conn.owed > 0 {
                     conn.owed -= 1;
@@ -861,7 +446,10 @@ impl EventLoop {
     }
 
     /// Flush a connection's outbound buffer, close it if dead or fully drained, and
-    /// keep its epoll write-interest in sync with whether bytes remain queued.
+    /// keep its epoll registration in sync with [`Conn::wanted_interest`]. Dropping
+    /// read interest once draining matters: a half-closed peer's EOF is
+    /// level-triggered, so a draining connection still registered for reads would
+    /// wake the loop continuously until its last owed reply arrived.
     fn service_conn(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -870,20 +458,14 @@ impl EventLoop {
             self.close_conn(token);
             return;
         }
-        let want_write = conn.out_pending() > 0;
-        if want_write != conn.want_write {
-            let interest = if want_write {
-                Interest::READ_WRITE
-            } else {
-                Interest::READ
-            };
-            if self
+        let interest = conn.wanted_interest();
+        if interest != conn.interest
+            && self
                 .poller
                 .modify(conn.stream.as_raw_fd(), token, interest)
                 .is_ok()
-            {
-                conn.want_write = want_write;
-            }
+        {
+            conn.interest = interest;
         }
     }
 
@@ -891,7 +473,10 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if error {
+        // A draining connection is not registered for reads, so readiness there is a
+        // hangup (always reported): the peer is gone both ways and nothing owed can
+        // reach it any more.
+        if error || (readable && conn.draining) {
             self.close_conn(token);
             return;
         }
@@ -899,7 +484,7 @@ impl EventLoop {
         if writable {
             alive = conn.flush();
         }
-        if alive && readable && !conn.draining {
+        if alive && readable {
             alive = read_ready(conn, &self.ctx);
         }
         if alive {
@@ -949,12 +534,7 @@ fn read_ready(conn: &mut Conn, ctx: &LoopCtx) -> bool {
             Ok(None) => break,
             Err(_) => {
                 // Framing alignment is lost; answer with a typed Nack and drain.
-                conn.enqueue(
-                    &Frame::Nack {
-                        reason: "malformed frame".into(),
-                    },
-                    &ctx.bytes,
-                );
+                conn.enqueue(&nack("malformed frame"), &ctx.bytes);
                 conn.draining = true;
             }
         }
@@ -968,11 +548,12 @@ fn read_ready(conn: &mut Conn, ctx: &LoopCtx) -> bool {
 }
 
 /// Handle one decoded frame on the event loop: inference goes to the worker queues with
-/// a reply path back through the loop's channel, control goes to the updater thread as
-/// a fire-and-forget command, `Bye`/garbage start the drain.
+/// a reply path back through the loop's channel, each control frame becomes a
+/// fire-and-forget command on the updater thread, `Stats`/`TraceDump` answer inline,
+/// and `Bye`/wrong-direction frames start the drain.
 fn dispatch_event(conn: &mut Conn, frame: Frame, ctx: &LoopCtx) {
-    match classify(frame) {
-        Inbound::Infer {
+    match frame {
+        Frame::InferRequest {
             id,
             time_minutes,
             trace_id,
@@ -984,12 +565,7 @@ fn dispatch_event(conn: &mut Conn, frame: Frame, ctx: &LoopCtx) {
             // worker thread mid-batch and take the whole replica down. Reject it here
             // and keep serving the connection.
             if let Err(reason) = ctx.model_config.validate_sample(&sample) {
-                conn.enqueue(
-                    &Frame::Nack {
-                        reason: format!("request {id}: {reason}"),
-                    },
-                    &ctx.bytes,
-                );
+                conn.enqueue(&nack(&format!("request {id}: {reason}")), &ctx.bytes);
                 return;
             }
             // Continue the driver's trace under its id: the deterministic sampler
@@ -1021,12 +597,7 @@ fn dispatch_event(conn: &mut Conn, frame: Frame, ctx: &LoopCtx) {
                 reply,
                 trace,
             ) {
-                SubmitOutcome::Accepted => {
-                    conn.owed += 1;
-                    if let Some(stats) = &ctx.stats {
-                        stats.owed.inc();
-                    }
-                }
+                SubmitOutcome::Accepted => conn.owe(ctx),
                 SubmitOutcome::Shed => {
                     conn.enqueue(&Frame::InferShed { id }, &ctx.bytes);
                 }
@@ -1038,211 +609,166 @@ fn dispatch_event(conn: &mut Conn, frame: Frame, ctx: &LoopCtx) {
                 }
             }
         }
-        Inbound::Control { publish, action } => {
-            let reply_tx = ctx.reply_tx.clone();
-            let waker = Arc::clone(&ctx.waker);
-            let token = conn.token;
-            let sent = ctx.runtime.with_node_async(
-                move |node| action(node),
-                publish,
-                move |reply| {
-                    let _ = reply_tx.send((token, reply));
-                    waker.wake();
-                },
-            );
-            if sent {
-                conn.owed += 1;
-                if let Some(stats) = &ctx.stats {
-                    stats.owed.inc();
+        Frame::PullSupport => control(conn, ctx, false, |node| Frame::Support {
+            rows: node
+                .lora_support()
+                .into_iter()
+                .map(|(table, row)| (table as u32, row as u64))
+                .collect(),
+        }),
+        Frame::PullLoraRows { rows } => control(conn, ctx, false, move |node| Frame::LoraRows {
+            rows: rows
+                .into_iter()
+                .filter(|&(table, row)| in_bounds(node, table, row))
+                .map(|(table, row)| LoraRowUpdate {
+                    table,
+                    row,
+                    values: node.export_lora_row(table as usize, row as usize),
+                })
+                .collect(),
+        }),
+        // Stage the rows without materialising: the B broadcast may still follow, and
+        // the Publish frame rematerialises every active row once.
+        Frame::PushLoraRows { rows } => control(conn, ctx, false, move |node| {
+            for row in &rows {
+                if !in_bounds(node, row.table, row.row) {
+                    return nack("LoRA row index out of bounds");
                 }
-            } else {
-                // No updater to run the command (runtime shutting down): drain.
-                conn.draining = true;
             }
-        }
-        Inbound::Stats => {
+            for row in rows {
+                LoraPeer::import_a_row(node, row.table as usize, row.row as usize, row.values);
+            }
+            Frame::Ack
+        }),
+        Frame::PullB { table } => control(conn, ctx, false, move |node| {
+            let t = table as usize;
+            if t >= node.loras().len() {
+                return nack("table out of bounds");
+            }
+            Frame::BFactor {
+                table,
+                source_rank: LoraPeer::lora_rank(node, t) as u32,
+                values: LoraPeer::export_b(node, t),
+            }
+        }),
+        Frame::PushB {
+            table,
+            source_rank,
+            values,
+        } => control(conn, ctx, false, move |node| {
+            let t = table as usize;
+            if t >= node.loras().len() {
+                return nack("table out of bounds");
+            }
+            if values.len() != source_rank as usize * node.loras()[t].dim() {
+                return nack("B factor shape mismatch");
+            }
+            LoraPeer::import_b(node, t, &values, source_rank as usize);
+            Frame::Ack
+        }),
+        Frame::PushEmbeddingRows { rows } => control(conn, ctx, true, move |node| {
+            let dim = node.serving_model().config().embedding_dim;
+            for row in &rows {
+                if !in_bounds(node, row.table, row.row) {
+                    return nack("embedding row index out of bounds");
+                }
+                if row.values.len() != dim {
+                    return nack("embedding row dimension mismatch");
+                }
+            }
+            for row in rows {
+                node.apply_embedding_row_pull(row.table as usize, row.row as usize, &row.values);
+            }
+            Frame::Ack
+        }),
+        Frame::FullModel { params } => control(conn, ctx, true, move |node| {
+            if params.len() != node.serving_model().parameter_count() {
+                return nack("parameter vector length mismatch");
+            }
+            let mut fresh = node.serving_model().clone();
+            fresh.import_parameters(&params);
+            node.full_sync(fresh);
+            Frame::Ack
+        }),
+        Frame::Publish => control(conn, ctx, true, |node| {
+            node.refresh_serving_rows();
+            Frame::Ack
+        }),
+        Frame::Stats => {
             // Answered inline from the lock-free registry: a scrape never waits on the
-            // updater and never blocks a worker.
-            let open = ctx.open_connections.load(Ordering::Acquire);
-            conn.enqueue(&stats_reply(&ctx.runtime, open, 0), &ctx.bytes);
+            // updater and never blocks a worker. The loop's connection gauge is folded
+            // in first (when telemetry is on).
+            if let Some(tel) = ctx.runtime.telemetry() {
+                let open = ctx.open_connections.load(Ordering::Acquire);
+                tel.registry.gauge("net_open_connections").set(open as i64);
+            }
+            let reply = Frame::StatsReply {
+                metrics: ctx.runtime.scrape(),
+            };
+            conn.enqueue(&reply, &ctx.bytes);
         }
-        Inbound::TraceDump => {
-            // Inline like Stats: drains the lock-free span ring, never blocks workers.
-            conn.enqueue(&trace_dump_reply(&ctx.runtime), &ctx.bytes);
+        Frame::TraceDump => {
+            // Inline like Stats: drains the lock-free span ring and snapshots the
+            // histograms in mergeable bucket form. With telemetry off both vectors are
+            // empty, which a cluster scraper treats as "nothing to merge".
+            let reply = Frame::TraceDumpReply {
+                spans: ctx.runtime.drain_spans(),
+                histograms: ctx
+                    .runtime
+                    .scrape_histograms()
+                    .into_iter()
+                    .map(|(name, snapshot)| (name, snapshot.nonzero_buckets()))
+                    .collect(),
+            };
+            conn.enqueue(&reply, &ctx.bytes);
         }
-        Inbound::Bye => conn.draining = true,
-        Inbound::BadDirection => {
-            conn.enqueue(
-                &Frame::Nack {
-                    reason: "unexpected frame direction".into(),
-                },
-                &ctx.bytes,
-            );
+        Frame::Bye => conn.draining = true,
+        // A replica never receives reply-direction frames; reject and close.
+        Frame::InferReply { .. }
+        | Frame::InferShed { .. }
+        | Frame::Support { .. }
+        | Frame::LoraRows { .. }
+        | Frame::BFactor { .. }
+        | Frame::Ack
+        | Frame::Nack { .. }
+        | Frame::StatsReply { .. }
+        | Frame::TraceDumpReply { .. } => {
+            conn.enqueue(&nack("unexpected frame direction"), &ctx.bytes);
             conn.draining = true;
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Engine 2: thread-per-connection fallback
-// ---------------------------------------------------------------------------
-
-/// Serve one connection until EOF/`Bye`/error: dispatch inference frames into the
-/// runtime, execute control frames against the authoritative node, and funnel every
-/// outbound frame through the single writer thread. `open`/`backlog` are the server's
-/// connection gauges, folded into the telemetry registry when a `Stats` frame arrives.
-fn handle_connection(
-    stream: TcpStream,
-    runtime: &Arc<ServingRuntime>,
-    bytes: &Arc<ServerBytes>,
-    open: &Arc<AtomicUsize>,
-    backlog: &Arc<AtomicUsize>,
-) {
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    // The model geometry is fixed for the runtime's lifetime; snapshot it once so every
-    // inference frame can be validated without taking the node lock.
-    let model_config = runtime.with_node(|node| node.serving_model().config().clone());
-    let (out_tx, out_rx) = channel::<Frame>();
-    let writer_bytes = Arc::clone(bytes);
-    let writer = thread::Builder::new()
-        .name("lu-net-writer".into())
-        .spawn(move || {
-            let mut w = std::io::BufWriter::new(write_half);
-            'outer: while let Ok(frame) = out_rx.recv() {
-                // Under pipelined load, flushing after every frame defeats the
-                // BufWriter; write every frame already queued, then flush once when the
-                // channel momentarily drains (which is also what keeps a single
-                // in-flight request prompt).
-                let mut next = Some(frame);
-                while let Some(frame) = next.take() {
-                    match write_frame(&mut w, &frame) {
-                        Ok(n) => writer_bytes.count(&frame, n as u64),
-                        Err(_) => break 'outer,
-                    }
-                    next = out_rx.try_recv().ok();
-                }
-                if w.flush().is_err() {
-                    break;
-                }
-            }
-        })
-        .expect("spawn connection writer");
-
-    let mut reader = stream;
-    loop {
-        match read_frame(&mut reader) {
-            Ok(None) => break,
-            Ok(Some((frame, n))) => {
-                bytes.count(&frame, n as u64);
-                if !dispatch_blocking(frame, runtime, &model_config, &out_tx, open, backlog) {
-                    break;
-                }
-            }
-            Err(WireError::Io(_)) | Err(WireError::Truncated) => break, // peer gone / forced close
-            Err(_) => {
-                let _ = out_tx.send(Frame::Nack {
-                    reason: "malformed frame".into(),
-                });
-                break;
-            }
-        }
+/// Run `action` against the authoritative node on the updater thread — publishing a
+/// fresh snapshot first when `publish` is set — and route the frame it returns back to
+/// this connection through the loop's reply channel.
+fn control<F>(conn: &mut Conn, ctx: &LoopCtx, publish: bool, action: F)
+where
+    F: FnOnce(&mut ServingNode) -> Frame + Send + 'static,
+{
+    let reply_tx = ctx.reply_tx.clone();
+    let waker = Arc::clone(&ctx.waker);
+    let token = conn.token;
+    let sent = ctx.runtime.with_node_async(action, publish, move |reply| {
+        let _ = reply_tx.send((token, reply));
+        waker.wake();
+    });
+    if sent {
+        conn.owe(ctx);
+    } else {
+        // No updater to run the command (runtime shutting down): drain.
+        conn.draining = true;
     }
-    drop(out_tx);
-    let _ = writer.join();
-    // Force the socket closed: the shutdown registry holds a clone of this stream, so
-    // merely dropping our handles would leave the peer waiting for an EOF that never
-    // comes. `shutdown` acts on the underlying socket, clones included.
-    let _ = reader.shutdown(Shutdown::Both);
 }
 
-/// Handle one inbound frame on a connection thread; returns `false` when the connection
-/// should close.
-fn dispatch_blocking(
-    frame: Frame,
-    runtime: &Arc<ServingRuntime>,
-    model_config: &DlrmConfig,
-    out: &Sender<Frame>,
-    open: &Arc<AtomicUsize>,
-    backlog: &Arc<AtomicUsize>,
-) -> bool {
-    match classify(frame) {
-        Inbound::Infer {
-            id,
-            time_minutes,
-            trace_id,
-            parent_span_id,
-            sample,
-        } => {
-            if let Err(reason) = model_config.validate_sample(&sample) {
-                return out
-                    .send(Frame::Nack {
-                        reason: format!("request {id}: {reason}"),
-                    })
-                    .is_ok();
-            }
-            // Same trace continuation as the event loop: the deterministic sampler
-            // keeps a nonzero wire trace id exactly when the driver kept it.
-            let trace = runtime.trace_context(trace_id, parent_span_id);
-            let (reply_trace_id, span_id) = trace
-                .as_ref()
-                .map_or((0, 0), |trace| (trace.trace_id, trace.span_id));
-            let reply_tx = out.clone();
-            let reply = ReplyTo::new(move |prediction| {
-                let _ = reply_tx.send(Frame::InferReply {
-                    id,
-                    trace_id: reply_trace_id,
-                    span_id,
-                    prediction,
-                });
-            });
-            match runtime.submit_routed_with_reply_traced(
-                sample,
-                time_minutes,
-                Instant::now(),
-                reply,
-                trace,
-            ) {
-                SubmitOutcome::Accepted => {}
-                SubmitOutcome::Shed => {
-                    let _ = out.send(Frame::InferShed { id });
-                }
-                SubmitOutcome::Closed => {
-                    // Shutting down: a silent close would leave the client waiting on
-                    // request `id` forever; shed it explicitly, then close.
-                    let _ = out.send(Frame::InferShed { id });
-                    return false;
-                }
-            }
-            true
-        }
-        Inbound::Control { publish, action } => {
-            let reply = if publish {
-                runtime.with_node_publish(move |node| action(node))
-            } else {
-                runtime.with_node(move |node| action(node))
-            };
-            out.send(reply).is_ok()
-        }
-        Inbound::Stats => {
-            // Same gauge names as the event-loop engine, folded through the shared
-            // helper — a driver scraping a replica cannot tell the engines apart.
-            let reply = stats_reply(
-                runtime,
-                open.load(Ordering::Acquire),
-                backlog.load(Ordering::Acquire),
-            );
-            out.send(reply).is_ok()
-        }
-        Inbound::TraceDump => out.send(trace_dump_reply(runtime)).is_ok(),
-        Inbound::Bye => false,
-        Inbound::BadDirection => {
-            let _ = out.send(Frame::Nack {
-                reason: "unexpected frame direction".into(),
-            });
-            false
-        }
+/// Bounds-check a `(table, row)` pair against the node's geometry.
+fn in_bounds(node: &ServingNode, table: u32, row: u64) -> bool {
+    let tables = node.serving_model().tables();
+    (table as usize) < tables.len() && (row as usize) < tables[table as usize].num_rows()
+}
+
+fn nack(reason: &str) -> Frame {
+    Frame::Nack {
+        reason: reason.to_string(),
     }
 }

@@ -1,26 +1,23 @@
 //! Connection-churn and pipelining stress tests for the TCP tier.
 //!
-//! These pin the bugfixes this tier's rearchitecture shipped with:
+//! These pin the event loop's connection lifecycle:
 //! * churn (many short-lived connections, sequential and concurrent) leaves the server
-//!   with zero open connections and bounded handler bookkeeping — the thread-per-
-//!   connection engine used to leak one JoinHandle per connection ever accepted;
+//!   with zero open connections;
 //! * a single connection can pipeline hundreds of in-flight request ids and every
-//!   reply maps back to its request — throughput that the old flush-per-frame writer
-//!   throttled and the event loop's buffered outbound path restores;
+//!   reply maps back to its request;
+//! * a half-closed connection receives every owed reply, without the loop spinning
+//!   while it waits for them;
 //! * shutdown stays prompt after heavy churn.
-//!
-//! Every test runs against both engines: the epoll event loop (the default) and the
-//! thread-per-connection fallback.
 
 use liveupdate::config::LiveUpdateConfig;
 use liveupdate::engine::ServingNode;
 use liveupdate_dlrm::model::{DlrmConfig, DlrmModel};
 use liveupdate_net::wire::{read_frame, write_frame, Frame};
-use liveupdate_net::{MultiConnClient, ReplicaServer};
+use liveupdate_net::{scrape_replica, MultiConnClient, ReplicaServer};
 use liveupdate_runtime::config::{RuntimeConfig, UpdateMode};
 use liveupdate_workload::{SyntheticWorkload, WorkloadConfig};
 use std::collections::HashSet;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 fn tiny_node(seed: u64) -> ServingNode {
@@ -38,15 +35,8 @@ fn tiny_runtime_config() -> RuntimeConfig {
     }
 }
 
-fn start_server(event_loop: bool) -> ReplicaServer {
-    let node = tiny_node(7);
-    let cfg = tiny_runtime_config();
-    let interval = Duration::from_millis(50);
-    if event_loop {
-        ReplicaServer::start(node, cfg, interval, None).expect("start event-loop server")
-    } else {
-        ReplicaServer::start_threaded(node, cfg, interval, None).expect("start threaded server")
-    }
+fn start_server(cfg: RuntimeConfig) -> ReplicaServer {
+    ReplicaServer::start(tiny_node(7), cfg, Duration::from_millis(50), None).expect("start server")
 }
 
 fn workload() -> SyntheticWorkload {
@@ -57,8 +47,8 @@ fn workload() -> SyntheticWorkload {
     })
 }
 
-/// Wait (bounded) for the server's open-connection gauge to hit zero; teardown on both
-/// engines completes asynchronously after the client side closes.
+/// Wait (bounded) for the server's open-connection gauge to hit zero; teardown
+/// completes asynchronously after the client side closes.
 fn wait_for_empty_registry(server: &ReplicaServer) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.open_connections() > 0 {
@@ -71,8 +61,9 @@ fn wait_for_empty_registry(server: &ReplicaServer) {
     }
 }
 
-fn churn_leaves_no_state(event_loop: bool) {
-    let server = start_server(event_loop);
+#[test]
+fn churn_leaves_no_state_event_loop() {
+    let server = start_server(tiny_runtime_config());
     let mut w = workload();
 
     // Sequential churn: one request per connection, 600 connections.
@@ -98,15 +89,13 @@ fn churn_leaves_no_state(event_loop: bool) {
         write_frame(&mut conn, &Frame::Bye).expect("bye");
         drop(conn);
 
-        // The handler map must track live connections, not total accepted: with one
+        // The registry tracks live connections, not total accepted: with one
         // connection at a time it stays O(1) even 500 connections in.
-        if event_loop {
-            assert_eq!(server.handler_backlog(), 0, "event loop spawns no handlers");
-        } else if i % 100 == 99 {
+        if i % 100 == 99 {
             assert!(
-                server.handler_backlog() <= 8,
-                "handler bookkeeping grew with total connections: {} tracked after {} conns",
-                server.handler_backlog(),
+                server.open_connections() <= 8,
+                "registry grew with total connections: {} open after {} conns",
+                server.open_connections(),
                 i + 1
             );
         }
@@ -149,15 +138,10 @@ fn churn_leaves_no_state(event_loop: bool) {
         t.join().expect("churn thread");
     }
 
-    // 1000 connections later: the registry is empty and bookkeeping is bounded.
+    // 1000 connections later: the registry is empty.
     wait_for_empty_registry(&server);
-    assert!(
-        server.handler_backlog() <= 8,
-        "handler bookkeeping leaked: {} tracked after churn",
-        server.handler_backlog()
-    );
 
-    // Shutdown is prompt — the old engine joined every handler ever spawned here.
+    // Shutdown is prompt after heavy churn.
     let started = Instant::now();
     let (report, _node) = server.shutdown();
     assert!(
@@ -168,21 +152,12 @@ fn churn_leaves_no_state(event_loop: bool) {
     assert!(report.completed > 0, "churn traffic reached the workers");
 }
 
-#[test]
-fn churn_leaves_no_state_event_loop() {
-    churn_leaves_no_state(true);
-}
-
-#[test]
-fn churn_leaves_no_state_threaded() {
-    churn_leaves_no_state(false);
-}
-
 /// One connection, 256 requests in flight before the first reply is read. Every reply
 /// id maps back to a submitted id exactly once, in batch-completion (not submission)
 /// order — the pipelining contract the request `id` field exists for.
-fn pipelining_maps_ids(event_loop: bool) {
-    let server = start_server(event_loop);
+#[test]
+fn pipelining_maps_ids_event_loop() {
+    let server = start_server(tiny_runtime_config());
     let mut w = workload();
     let mut client = MultiConnClient::connect(server.addr(), 1).expect("connect");
 
@@ -236,58 +211,108 @@ fn pipelining_maps_ids(event_loop: bool) {
     let _ = server.shutdown();
 }
 
-#[test]
-fn pipelining_maps_ids_event_loop() {
-    pipelining_maps_ids(true);
-}
-
-#[test]
-fn pipelining_maps_ids_threaded() {
-    pipelining_maps_ids(false);
-}
-
 /// The reply-exact drain: a client that half-closes after a burst still receives every
-/// owed reply before the server closes the socket.
+/// owed reply before the server closes the socket. The second input first polls only
+/// after the server has answered and closed, so the client's socket reports a full
+/// hangup (`EPOLLHUP`) with every reply still buffered.
 #[test]
 fn half_close_drains_owed_replies() {
-    let server = start_server(true);
-    let mut w = workload();
-    let mut client = MultiConnClient::connect(server.addr(), 1).expect("connect");
+    for poll_after_server_close in [false, true] {
+        let server = start_server(tiny_runtime_config());
+        let mut w = workload();
+        let mut client = MultiConnClient::connect(server.addr(), 1).expect("connect");
 
-    const BURST: u64 = 64;
-    for id in 0..BURST {
-        let sample = w.sample_at(0.0);
+        const BURST: u64 = 64;
+        for id in 0..BURST {
+            let sample = w.sample_at(0.0);
+            client
+                .send(
+                    0,
+                    &Frame::InferRequest {
+                        id,
+                        time_minutes: 0.0,
+                        trace_id: 0,
+                        parent_span_id: 0,
+                        sample,
+                    },
+                )
+                .expect("send");
+        }
+        client.finish_sending(0); // shutdown(Write): no more requests, replies still owed
+        if poll_after_server_close {
+            wait_for_empty_registry(&server);
+        }
+
+        let mut seen: HashSet<u64> = HashSet::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
         client
-            .send(
-                0,
-                &Frame::InferRequest {
-                    id,
-                    time_minutes: 0.0,
-                    trace_id: 0,
-                    parent_span_id: 0,
-                    sample,
-                },
-            )
-            .expect("send");
+            .poll_until(BURST as usize, deadline, |_, frame| match frame {
+                Frame::InferReply { id, .. } | Frame::InferShed { id } => {
+                    seen.insert(id);
+                }
+                other => panic!("unexpected frame {other:?}"),
+            })
+            .expect("poll");
+        assert_eq!(
+            seen,
+            (0..BURST).collect::<HashSet<u64>>(),
+            "every owed reply arrived after the half-close \
+             (poll_after_server_close = {poll_after_server_close})"
+        );
+        drop(client);
+        wait_for_empty_registry(&server);
+        let _ = server.shutdown();
     }
-    client.finish_sending(0); // shutdown(Write): no more requests, replies still owed
+}
 
-    let mut seen: HashSet<u64> = HashSet::new();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    client
-        .poll_until(BURST as usize, deadline, |_, frame| match frame {
-            Frame::InferReply { id, .. } | Frame::InferShed { id } => {
-                seen.insert(id);
-            }
-            other => panic!("unexpected frame {other:?}"),
-        })
-        .expect("poll");
-    assert_eq!(
-        seen,
-        (0..BURST).collect::<HashSet<u64>>(),
-        "every owed reply arrived after the half-close"
+/// A draining connection must not spin the loop. One half-closed connection owes one
+/// reply that a 400 ms batch deadline holds back; while it waits, the loop may wake for
+/// the scrapes and its 100 ms backstop, not on every return of `epoll_wait`.
+#[test]
+fn draining_connection_does_not_spin_the_loop() {
+    let server = start_server(RuntimeConfig {
+        batch_deadline_us: 400_000,
+        ..tiny_runtime_config()
+    });
+    let wakeups = || {
+        scrape_replica(server.addr())
+            .expect("scrape")
+            .into_iter()
+            .find(|(name, _)| name == "net_wakeups_total")
+            .expect("wakeup counter scraped")
+            .1
+    };
+
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
+    let sample = workload().sample_at(0.0);
+    write_frame(
+        &mut conn,
+        &Frame::InferRequest {
+            id: 0,
+            time_minutes: 0.0,
+            trace_id: 0,
+            parent_span_id: 0,
+            sample,
+        },
+    )
+    .expect("write");
+    conn.shutdown(Shutdown::Write).expect("half-close");
+    // Let the loop read the request and the EOF, then count over 200 ms.
+    std::thread::sleep(Duration::from_millis(20));
+    let before = wakeups();
+    std::thread::sleep(Duration::from_millis(200));
+    let woke = wakeups() - before;
+    assert!(
+        woke < 100.0,
+        "the loop woke {woke} times in 200 ms while one connection drained"
     );
-    drop(client);
+
+    // The owed reply still arrives once its batch closes.
+    match read_frame(&mut conn).expect("read").expect("reply").0 {
+        Frame::InferReply { id, .. } => assert_eq!(id, 0),
+        other => panic!("unexpected reply {other:?}"),
+    }
+    drop(conn);
     wait_for_empty_registry(&server);
     let _ = server.shutdown();
 }

@@ -3,12 +3,14 @@
 
 use liveupdate::config::LiveUpdateConfig;
 use liveupdate::engine::ServingNode;
+use liveupdate::strategy::StrategyKind;
 use liveupdate_dlrm::model::{DlrmConfig, DlrmModel};
 use liveupdate_net::wire::{read_frame, write_frame, Frame, LoraRowUpdate};
-use liveupdate_net::{DistributedBackend, ReplicaServer};
+use liveupdate_net::{run_distributed, DistributedBackend, DistributedConfig, ReplicaServer};
 use liveupdate_runtime::config::{RuntimeConfig, UpdateMode};
 use liveupdate_runtime::policy::{LiveUpdatePolicy, UpdatePolicy};
 use liveupdate_scenario::{BackendKind, ExecutionBackend, Scenario, SyncProvenance};
+use liveupdate_workload::shard::ShardPolicy;
 use liveupdate_workload::{SyntheticWorkload, WorkloadConfig};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -336,7 +338,6 @@ fn stats_frame_scrapes_live_telemetry_with_freshness_gauges() {
         get("net_open_connections") >= 1.0,
         "this connection is counted"
     );
-    let _ = get("net_handler_backlog");
     assert!(
         rows.iter().all(|(_, v)| v.is_finite()),
         "every scraped value is finite"
@@ -353,39 +354,6 @@ fn stats_frame_scrapes_live_telemetry_with_freshness_gauges() {
         !report.telemetry.is_empty(),
         "final report carries the registry snapshot"
     );
-}
-
-#[test]
-fn both_engines_expose_the_same_connection_gauges() {
-    // Satellite: the threaded fallback and the epoll loop must answer Stats with
-    // identical gauge names, so a scraper cannot tell the engines apart.
-    let event_loop = ReplicaServer::start(
-        tiny_node(23),
-        tiny_runtime_config(),
-        Duration::from_millis(50),
-        None,
-    )
-    .expect("start event-loop server");
-    let threaded = ReplicaServer::start_threaded(
-        tiny_node(23),
-        tiny_runtime_config(),
-        Duration::from_millis(50),
-        None,
-    )
-    .expect("start threaded server");
-
-    for server in [&event_loop, &threaded] {
-        let rows = liveupdate_net::scrape_replica(server.addr()).expect("scrape");
-        for gauge in ["net_open_connections", "net_handler_backlog"] {
-            assert!(
-                rows.iter().any(|(n, _)| n == gauge),
-                "{gauge} missing from scrape: {rows:?}"
-            );
-        }
-    }
-
-    let (_, _) = event_loop.shutdown();
-    let (_, _) = threaded.shutdown();
 }
 
 #[test]
@@ -448,6 +416,54 @@ fn distributed_backend_runs_a_scenario_on_sockets() {
     );
     assert!(report.publications > 0, "replicas published fresh epochs");
     assert!(report.lora_memory_bytes.unwrap() > 0);
+}
+
+/// Exact accounting across teardown: the driver half-closes each data connection and
+/// drains it, so every offered request comes back as a reply or a shed — a reply lost
+/// after the half-close shows up here as a shortfall.
+#[test]
+fn run_distributed_answers_every_offered_request() {
+    let day1_model = DlrmModel::new(DlrmConfig::tiny(2, 200, 8), 31);
+    let nodes = (0..2)
+        .map(|_| ServingNode::new(day1_model.clone(), LiveUpdateConfig::default()))
+        .collect();
+    let mut workload = SyntheticWorkload::new(WorkloadConfig {
+        num_tables: 2,
+        table_size: 200,
+        ..WorkloadConfig::default()
+    });
+    let cfg = DistributedConfig {
+        replicas: 2,
+        routing: ShardPolicy::HashByUser,
+        runtime: RuntimeConfig {
+            num_workers: 1,
+            max_batch: 8,
+            batch_deadline_us: 500,
+            ..RuntimeConfig::default()
+        },
+        strategy: StrategyKind::LiveUpdate,
+        update_interval: Duration::from_millis(50),
+        rounds_per_update: 1,
+        online_batch_size: 8,
+        training_batch_size: 32,
+        full_sync_every_ticks: 0,
+        target_qps: 800.0,
+        duration: Duration::from_millis(400),
+        start_minutes: 0.0,
+        seed: 3,
+        sample_pool: 64,
+    };
+    let (report, _nodes) =
+        run_distributed(nodes, &day1_model, &mut workload, &cfg).expect("distributed run");
+    assert!(report.offered > 0, "the generator offered load");
+    assert_eq!(
+        report.replies + report.shed,
+        report.offered,
+        "every offered request was answered: {} replies + {} shed of {} offered",
+        report.replies,
+        report.shed,
+        report.offered
+    );
 }
 
 #[test]

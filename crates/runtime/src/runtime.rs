@@ -346,23 +346,16 @@ impl ServingRuntime {
         R: Send + 'static,
         F: FnOnce(&mut ServingNode) -> R + Send + 'static,
     {
-        self.node_call(f, false)
-    }
-
-    /// [`Self::with_node`] followed by an epoch-swap publication of the node's fresh
-    /// snapshot (recorded in the updater's publication history). Use this when the
-    /// closure changed serving-visible state — e.g. after importing merged LoRA rows or
-    /// a parameter shipment — so workers adopt the change on their next batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics in `Synchronous` mode or if the updater thread is gone.
-    pub fn with_node_publish<R, F>(&self, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut ServingNode) -> R + Send + 'static,
-    {
-        self.node_call(f, true)
+        assert!(
+            self.node_tx.is_some(),
+            "node access requires a background updater (not Synchronous mode)"
+        );
+        let (result_tx, result_rx) = channel::<R>();
+        let sent = self.with_node_async(f, false, move |result| {
+            let _ = result_tx.send(result);
+        });
+        assert!(sent, "updater thread alive");
+        result_rx.recv().expect("updater executed the command")
     }
 
     /// Nonblocking node access: enqueue `f` to run against the authoritative
@@ -400,23 +393,6 @@ impl ServingRuntime {
             }),
         };
         tx.send(UpdaterMsg::Command(command)).is_ok()
-    }
-
-    fn node_call<R, F>(&self, f: F, publish: bool) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut ServingNode) -> R + Send + 'static,
-    {
-        assert!(
-            self.node_tx.is_some(),
-            "node access requires a background updater (not Synchronous mode)"
-        );
-        let (result_tx, result_rx) = channel::<R>();
-        let sent = self.with_node_async(f, publish, move |result| {
-            let _ = result_tx.send(result);
-        });
-        assert!(sent, "updater thread alive");
-        result_rx.recv().expect("updater executed the command")
     }
 
     /// Blocking submit (backpressure instead of shedding): used by deterministic test
@@ -817,26 +793,14 @@ mod tests {
                 ..RuntimeConfig::default()
             },
         );
-        // Read-only access returns a value without bumping the epoch.
+        // Read-only access returns a value without bumping the epoch; publishing
+        // access goes through `with_node_async`
+        // (`with_node_async_completes_after_publication`).
         let steps = runtime.with_node(|node| node.steps());
         assert_eq!(steps, 0);
         assert_eq!(runtime.publisher().epoch(), 0);
-        // A publishing access mutates serving-visible state and swaps a fresh epoch.
-        let before = runtime.publisher().load().1.checksum();
-        runtime.with_node_publish(|node| {
-            node.import_lora_row(0, 3, vec![1.0; node.loras()[0].rank()]);
-        });
-        assert_eq!(runtime.publisher().epoch(), 1);
-        let after = runtime.publisher().load().1.checksum();
-        assert_ne!(before, after, "the published snapshot reflects the import");
-        let (report, node) = runtime.finish();
-        assert_eq!(report.updater.publications, 1);
-        assert_eq!(
-            report.updater.published.len(),
-            2,
-            "initial + command publication"
-        );
-        assert!(node.loras()[0].is_active(3));
+        let (report, _) = runtime.finish();
+        assert_eq!(report.updater.publications, 0);
     }
 
     #[test]
@@ -885,6 +849,7 @@ mod tests {
             },
         );
         let publisher = Arc::clone(runtime.publisher());
+        let before = publisher.load().1.checksum();
         let (tx, rx) = std::sync::mpsc::channel::<(usize, u64)>();
         let sent = runtime.with_node_async(
             |node| {
@@ -901,8 +866,15 @@ mod tests {
         let (active, epoch_at_done) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!(active, 1);
         assert_eq!(epoch_at_done, 1, "completion observes the published epoch");
+        let after = runtime.publisher().load().1.checksum();
+        assert_ne!(before, after, "the published snapshot reflects the import");
         let (report, node) = runtime.finish();
         assert_eq!(report.updater.publications, 1);
+        assert_eq!(
+            report.updater.published.len(),
+            2,
+            "initial + command publication"
+        );
         assert!(node.loras()[0].is_active(3));
     }
 
