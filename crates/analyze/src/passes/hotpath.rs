@@ -39,7 +39,6 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/obs/src/registry.rs", "inc"),
     ("crates/obs/src/registry.rs", "add"),
     ("crates/obs/src/registry.rs", "set"),
-    ("crates/obs/src/trace.rs", "push"),
     // The tracing hot path: a stage stamp is one relaxed store, a span publish is
     // the fixed-slot seqlock write (PR 10).
     ("crates/obs/src/span.rs", "stamp"),

@@ -23,7 +23,7 @@ use liveupdate_dlrm::model::{DlrmConfig, DlrmModel};
 use liveupdate_net::wire::Frame;
 use liveupdate_net::{MultiConnClient, ReplicaServer};
 use liveupdate_runtime::config::{RuntimeConfig, UpdateMode};
-use liveupdate_sim::latency::LatencyRecorder;
+use liveupdate_sim::LogLinearHistogram;
 use liveupdate_workload::{SyntheticWorkload, WorkloadConfig};
 use std::time::{Duration, Instant};
 
@@ -79,7 +79,8 @@ fn run_point(server: &ReplicaServer, n_conn: usize, rate: f64, seconds: f64) -> 
 
     let total = (rate * seconds).round() as usize;
     let mut send_at: Vec<Instant> = Vec::with_capacity(total);
-    let mut latencies = LatencyRecorder::default();
+    let latencies = LogLinearHistogram::new();
+    let mut latency_sum_ms = 0.0;
     let mut replies = 0usize;
     let mut sheds = 0usize;
 
@@ -95,7 +96,9 @@ fn run_point(server: &ReplicaServer, n_conn: usize, rate: f64, seconds: f64) -> 
             let wait_ms = i32::try_from(target.duration_since(now).as_millis().min(5)).unwrap_or(5);
             let _ = client.poll(wait_ms.max(1), |_, frame| match frame {
                 Frame::InferReply { id, .. } => {
-                    latencies.record(send_at[id as usize].elapsed().as_secs_f64() * 1e3);
+                    let ms = send_at[id as usize].elapsed().as_secs_f64() * 1e3;
+                    latencies.record(ms);
+                    latency_sum_ms += ms;
                     replies += 1;
                 }
                 Frame::InferShed { .. } => sheds += 1,
@@ -122,7 +125,9 @@ fn run_point(server: &ReplicaServer, n_conn: usize, rate: f64, seconds: f64) -> 
     let deadline = Instant::now() + Duration::from_secs(15);
     let _ = client.poll_until(total - replies - sheds, deadline, |_, frame| match frame {
         Frame::InferReply { id, .. } => {
-            latencies.record(send_at[id as usize].elapsed().as_secs_f64() * 1e3);
+            let ms = send_at[id as usize].elapsed().as_secs_f64() * 1e3;
+            latencies.record(ms);
+            latency_sum_ms += ms;
             replies += 1;
         }
         Frame::InferShed { .. } => sheds += 1,
@@ -138,7 +143,7 @@ fn run_point(server: &ReplicaServer, n_conn: usize, rate: f64, seconds: f64) -> 
     SweepPoint {
         connections: n_conn,
         p99_ms: latencies.p99().unwrap_or(f64::NAN),
-        mean_ms: latencies.mean().unwrap_or(f64::NAN),
+        mean_ms: latency_sum_ms / replies as f64,
         qps: replies as f64 / elapsed,
         replies,
         sheds,

@@ -9,8 +9,8 @@
 //! span record). The P99 ratios are the price of observability: the registry's design
 //! target is one relaxed atomic increment per event and a span stamp is one relaxed
 //! store, so every ratio must stay within noise of 1.0 (the PR gate is ≤ 1.05×).
-//! Latency is measured by the load generator's own `LatencyRecorder`, which runs in
-//! all arms, so the probe does not depend on the subsystems under test.
+//! Latency is read from `RuntimeReport::latency`, the histogram every worker records
+//! into in all arms, so the probe does not depend on the subsystems under test.
 //!
 //! Emits `p99_telemetry_on`, `p99_telemetry_off`, `telemetry_p99_ratio`,
 //! `p99_trace_1pct`, `p99_trace_100pct`, and the matching `trace_*_p99_ratio` rows

@@ -12,9 +12,9 @@
 //! being asserted.
 
 use liveupdate_sim::cache::LruCache;
-use liveupdate_sim::latency::LatencyRecorder;
 use liveupdate_sim::membw::{BandwidthDemand, MemoryBandwidthModel};
 use liveupdate_sim::node::ServiceTimeModel;
+use liveupdate_sim::LogLinearHistogram;
 use liveupdate_workload::zipf::ZipfSampler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -234,7 +234,7 @@ pub fn evaluate_mode(mode: IsolationMode, config: &ContentionConfig) -> Contenti
     }
 
     // Per-request latency distribution from the per-request hit ratios.
-    let mut latencies = LatencyRecorder::new();
+    let latencies = LogLinearHistogram::new();
     for hit in &per_request_hits {
         latencies.record(service.request_latency_ms(*hit, &memory));
     }

@@ -32,12 +32,11 @@ use liveupdate::sync::{MergeAssignment, SparseLoraSync};
 use liveupdate_dlrm::model::DlrmModel;
 use liveupdate_dlrm::sample::{MiniBatch, Sample};
 use liveupdate_obs::span::{SpanRecord, SpanRing, TraceContext, TraceSampler, STAGE_ENQUEUED};
-use liveupdate_obs::HistogramSnapshot;
+use liveupdate_obs::{HistogramSnapshot, LogLinearHistogram};
 use liveupdate_runtime::config::RuntimeConfig;
 use liveupdate_runtime::policy::policy_for_strategy;
 use liveupdate_runtime::report::RuntimeReport;
 use liveupdate_runtime::telemetry::PUBLICATION_TRACE_FLAG;
-use liveupdate_sim::latency::LatencyRecorder;
 use liveupdate_workload::arrival::{ArrivalModel, RealTimePacer};
 use liveupdate_workload::shard::{ShardPolicy, StreamSharder};
 use liveupdate_workload::synthetic::SyntheticWorkload;
@@ -104,7 +103,7 @@ pub struct DistributedReport {
     pub qps: f64,
     /// Per-request latency, merged over every replica's workers (measured at the
     /// replica from frame receipt to batch completion).
-    pub latency: LatencyRecorder,
+    pub latency: LogLinearHistogram,
     /// Update events: local update rounds plus driver-side shipment ticks.
     pub update_events: u64,
     /// Snapshot publications, summed over replicas.
@@ -578,12 +577,12 @@ pub fn run_distributed(
         final_nodes.push(node);
     }
 
-    let mut latency = LatencyRecorder::new();
+    let latency = LogLinearHistogram::new();
     let mut completed = 0u64;
     let mut publications = 0u64;
     let mut update_events = sync.ticks * u64::from(!cfg.strategy.trains_locally());
     for report in &reports {
-        latency.merge(&report.latency);
+        latency.merge_from(&report.latency);
         completed += report.completed;
         publications += report.updater.publications;
         update_events += report.updater.update_rounds;

@@ -28,6 +28,10 @@ use std::io::{Read, Write};
 /// length prefix cannot OOM the process.
 pub const MAX_FRAME_BYTES: u32 = 256 * 1024 * 1024;
 
+/// Initial payload buffer of [`read_frame`]. The buffer grows only as payload bytes
+/// arrive, so a length prefix alone never reserves more than this.
+const READ_START_BYTES: usize = 64 * 1024;
+
 /// One named histogram's raw contents on the wire: sparse `(bucket index, count)`
 /// pairs, mergeable across replicas (unlike pre-flattened percentiles).
 pub type SparseHistogram = (String, Vec<(u32, u64)>);
@@ -803,14 +807,12 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(Frame, usize)>, WireErro
     if len > MAX_FRAME_BYTES {
         return Err(WireError::TooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else {
-            WireError::Io(e)
-        }
-    })?;
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(READ_START_BYTES));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(WireError::Truncated);
+    }
     let frame = Frame::decode(&payload)?;
     Ok(Some((frame, 4 + payload.len())))
 }
@@ -1100,6 +1102,46 @@ mod tests {
             read_frame(&mut &bytes[..]),
             Err(WireError::TooLarge(_))
         ));
+    }
+
+    /// A reader that hands out `data` and records the largest buffer it was given.
+    struct RecordingReader<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for RecordingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn length_prefix_alone_does_not_size_the_read_buffer() {
+        // A prefix claiming the maximum frame, followed by a few bytes and EOF: the
+        // read must fail as truncated without handing out a frame-sized buffer.
+        let mut bytes = MAX_FRAME_BYTES.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[7u8; 10]);
+        let mut reader = RecordingReader {
+            data: &bytes,
+            largest: 0,
+        };
+        assert!(matches!(read_frame(&mut reader), Err(WireError::Truncated)));
+        assert!(
+            reader.largest <= READ_START_BYTES,
+            "largest read buffer {} bytes",
+            reader.largest
+        );
+        // A real frame still round-trips through the bounded reader.
+        let frame = Frame::Ack.encode().unwrap();
+        let mut reader = RecordingReader {
+            data: &frame,
+            largest: 0,
+        };
+        let (decoded, n) = read_frame(&mut reader).unwrap().unwrap();
+        assert!(matches!(decoded, Frame::Ack));
+        assert_eq!(n, frame.len());
     }
 
     #[test]

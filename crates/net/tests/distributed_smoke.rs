@@ -464,6 +464,11 @@ fn run_distributed_answers_every_offered_request() {
         report.shed,
         report.offered
     );
+    assert_eq!(
+        report.latency.count(),
+        report.completed,
+        "the merged latency histogram holds one sample per completed request"
+    );
 }
 
 #[test]

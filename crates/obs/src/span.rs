@@ -7,10 +7,25 @@
 //! ([`STAGE_ENQUEUED`], [`STAGE_BATCH_CLOSED`], [`STAGE_SERVE_START`],
 //! [`STAGE_SERVE_DONE`], [`STAGE_REPLY_FLUSHED`]) with **one relaxed store** — the
 //! same hot-path budget as a counter increment — and on completion the finished
-//! [`SpanRecord`] is published into a [`SpanRing`], the span-shaped sibling of
-//! [`TraceRing`](crate::trace::TraceRing): lock-free, fixed-capacity,
+//! [`SpanRecord`] is published into a [`SpanRing`]: lock-free, fixed-capacity,
 //! overwrite-oldest, never blocking a worker. An unsampled request carries no context
 //! and pays nothing at all.
+//!
+//! # The ring protocol
+//!
+//! A writer claims a slot with one `fetch_add` on the ring head, fills it with a
+//! handful of relaxed stores, and publishes it with a release store of the slot's
+//! sequence word. No lock, no allocation, no waiting: a writer can always push,
+//! overwriting the oldest span once the ring is full. Readers drain on demand; a slot
+//! that is mid-write, or whose field checksum does not validate, is skipped, so a
+//! reader never observes a torn span and never blocks a writer.
+//!
+//! Each slot is a seqlock: the writer invalidates it (`seq = 0`), writes the fields,
+//! then publishes a unique non-zero sequence (its claim ticket + 1). A reader accepts
+//! a slot only if the sequence it saw before and after the field reads is the same
+//! non-zero value *and* the stored checksum matches the fields. The checksum closes the
+//! classic multi-writer seqlock hole: two writers wrapping onto the same slot can
+//! interleave their field stores yet leave a stable sequence behind.
 //!
 //! Spans from different nodes join into one cross-node trace by `trace_id`; the
 //! parent/child edge is `parent_span_id` (the driver's span id travels on the wire
@@ -259,9 +274,8 @@ impl TraceContext {
     }
 }
 
-/// One ring slot: a per-slot seqlock over the span fields plus a field checksum (the
-/// same protocol as [`TraceRing`](crate::trace::TraceRing) — see that module's docs
-/// for why the checksum is needed under multi-writer wrap races).
+/// One ring slot: a per-slot seqlock over the span fields plus a field checksum (see
+/// the module docs for why the checksum is needed under multi-writer wrap races).
 struct Slot {
     seq: AtomicU64,
     trace_id: AtomicU64,
@@ -303,9 +317,9 @@ fn checksum(seq: u64, r: &SpanRecord) -> u64 {
 
 /// A fixed-capacity, never-blocking, multi-writer ring of completed [`SpanRecord`]s.
 ///
-/// Identical discipline to [`TraceRing`](crate::trace::TraceRing): writers claim a
-/// slot with one `fetch_add` and publish through a per-slot sequence word; once full,
-/// each push overwrites the oldest span. Readers drain on demand and skip torn slots.
+/// Writers claim a slot with one `fetch_add` and publish through a per-slot sequence
+/// word; once full, each push overwrites the oldest span. Readers drain on demand and
+/// skip torn slots (see the module docs for the protocol).
 /// The ring's creation instant is also the clock epoch for every stage stamp of every
 /// [`TraceContext`] it issues.
 pub struct SpanRing {
@@ -396,9 +410,11 @@ impl SpanRing {
     }
 
     /// Return every span published since the previous drain, oldest first, and
-    /// advance the drain cursor past them. Same semantics as
-    /// [`TraceRing::drain`](crate::trace::TraceRing::drain): overwritten-before-drain
-    /// spans are lost, torn slots are skipped, racing drains never repeat a span.
+    /// advance the drain cursor past them. Spans overwritten before they were drained
+    /// are lost (the ring keeps only the newest `capacity`); slots mid-write or failing
+    /// validation are skipped. Concurrent pushes during the drain may or may not be
+    /// included — they surface in the next drain if missed. Racing drains never repeat
+    /// a span.
     #[must_use]
     pub fn drain(&self) -> Vec<SpanRecord> {
         let upto = self.drained_upto.load(Ordering::Acquire);

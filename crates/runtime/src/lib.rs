@@ -44,12 +44,12 @@
 //!   [`router::Router`] (hash-by-user or round-robin, per
 //!   [`config::RuntimeConfig::routing`]) picks the worker queue, so callers never choose
 //!   an index by hand.
-//! * **Measurement** ([`report`]) — real wall-clock QPS, P50/P99/max latency (via
-//!   [`liveupdate_sim::latency::LatencyRecorder`]), shed counts, batch shapes, update
-//!   round times, and the full `(epoch, checksum)` publication history.
+//! * **Measurement** ([`report`]) — real wall-clock QPS, P50/P99/P100 latency (in a
+//!   [`liveupdate_obs::LogLinearHistogram`]), shed counts, batch shapes, update round
+//!   times, and the full `(epoch, checksum)` publication history.
 //! * **Telemetry** ([`telemetry`]) — a [`liveupdate_obs`] registry shared by every
 //!   thread: lock-free counters/gauges/histograms under the workspace-wide metric-name
-//!   contract plus a trace ring of update/publish/batch/shed events. Scrape live with
+//!   contract plus a span ring of sampled request and publication spans. Scrape live with
 //!   [`runtime::ServingRuntime::scrape`]; the final snapshot lands in
 //!   [`report::RuntimeReport::telemetry`]. Disable per-run with
 //!   [`config::RuntimeConfig::telemetry`].

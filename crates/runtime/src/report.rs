@@ -1,7 +1,7 @@
 //! Measured results of a runtime run: real wall-clock QPS, latency percentiles, and
 //! update-round interference.
 
-use liveupdate_sim::latency::LatencyRecorder;
+use liveupdate_obs::LogLinearHistogram;
 
 /// Per-worker measurements, returned by each worker thread at join.
 #[derive(Debug, Clone, Default)]
@@ -18,8 +18,8 @@ pub struct WorkerReport {
     pub snapshot_refreshes: u64,
     /// Highest epoch this worker observed.
     pub last_epoch: u64,
-    /// Per-request latency samples (queue wait + batching + inference), milliseconds.
-    pub latency: LatencyRecorder,
+    /// Per-request latency (queue wait + batching + inference), milliseconds.
+    pub latency: LogLinearHistogram,
 }
 
 /// Updater-side measurements.
@@ -75,8 +75,8 @@ pub struct RuntimeReport {
     pub completed: u64,
     /// Measured throughput: `completed / wall_seconds`.
     pub qps: f64,
-    /// Merged per-request latency samples across workers, milliseconds.
-    pub latency: LatencyRecorder,
+    /// Per-request latency merged across workers, milliseconds.
+    pub latency: LogLinearHistogram,
     /// Inference batches closed across workers.
     pub batches: u64,
     /// Lookups that took the LoRA-corrected path.
@@ -128,14 +128,14 @@ impl RuntimeReport {
     #[must_use]
     pub fn summary_line(&self) -> String {
         format!(
-            "workers={} wall={:.2}s qps={:.0} p50={:.3}ms p99={:.3}ms max={:.3}ms drops={} \
+            "workers={} wall={:.2}s qps={:.0} p50={:.3}ms p99={:.3}ms p100={:.3}ms drops={} \
              batches={} mean_batch={:.1} rounds={} publications={} mean_round={:.3}ms",
             self.num_workers,
             self.wall_seconds,
             self.qps,
             self.latency.p50().unwrap_or(0.0),
             self.latency.p99().unwrap_or(0.0),
-            self.latency.max().unwrap_or(0.0),
+            self.latency.percentile(100.0).unwrap_or(0.0),
             self.dropped,
             self.batches,
             self.mean_batch_size(),
@@ -235,8 +235,10 @@ mod tests {
 
     #[test]
     fn report_derived_metrics() {
-        let mut latency = LatencyRecorder::new();
-        latency.record_all([1.0, 2.0, 3.0]);
+        let latency = LogLinearHistogram::new();
+        for ms in [1.0, 2.0, 3.0] {
+            latency.record(ms);
+        }
         let r = RuntimeReport {
             num_workers: 2,
             wall_seconds: 2.0,

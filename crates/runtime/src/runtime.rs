@@ -13,8 +13,9 @@ use liveupdate::engine::ServingNode;
 use liveupdate::snapshot::ServingSnapshot;
 use liveupdate_dlrm::sample::Sample;
 use liveupdate_obs::span::STAGE_ENQUEUED;
-use liveupdate_obs::{HistogramSnapshot, SpanRecord, TraceContext, TraceKind, TraceSampler};
-use liveupdate_sim::latency::LatencyRecorder;
+use liveupdate_obs::{
+    HistogramSnapshot, LogLinearHistogram, SpanRecord, TraceContext, TraceSampler,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -491,7 +492,6 @@ impl ServingRuntime {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 if let Some(tel) = &self.telemetry {
                     tel.requests_shed.inc();
-                    tel.trace.push(TraceKind::Shed, worker as u64, 0);
                 }
                 SubmitOutcome::Shed
             }
@@ -602,13 +602,13 @@ impl ServingRuntime {
         };
         let wall_seconds = self.started.elapsed().as_secs_f64();
 
-        let mut latency = LatencyRecorder::new();
+        let latency = LogLinearHistogram::new();
         let mut completed = 0u64;
         let mut batches = 0u64;
         let mut corrected = 0u64;
         let mut refreshes = 0u64;
         for w in &per_worker {
-            latency.merge(&w.latency);
+            latency.merge_from(&w.latency);
             completed += w.served;
             batches += w.batches;
             corrected += w.lora_corrected_lookups;
@@ -684,7 +684,7 @@ mod tests {
         assert_eq!(report.completed, 64);
         assert_eq!(report.submitted, 64);
         assert_eq!(report.dropped, 0);
-        assert_eq!(report.latency.len(), 64);
+        assert_eq!(report.latency.count(), 64);
         assert!(
             report.batches >= 8,
             "64 requests at max_batch 8 need >= 8 batches"

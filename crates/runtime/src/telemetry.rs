@@ -46,16 +46,12 @@
 //! stage-name rule pins the two lists together.
 //!
 //! The net tier adds `net_*` series (wakeups, ready events, owed replies, open
-//! connections, handler backlog) through the same registry; see
+//! connections) through the same registry; see
 //! `liveupdate_net::server`. Completed request spans are collected separately in
 //! [`Telemetry::spans`] and pulled over the wire by `Frame::TraceDump`.
 
-use liveupdate_obs::{Counter, Gauge, LogLinearHistogram, MetricsRegistry, SpanRing, TraceRing};
+use liveupdate_obs::{Counter, Gauge, LogLinearHistogram, MetricsRegistry, SpanRing};
 use std::sync::Arc;
-
-/// Default trace-ring capacity: enough for minutes of update/publication/batch events
-/// at realistic rates without growing unbounded.
-pub const TRACE_CAPACITY: usize = 4096;
 
 /// Default span-ring capacity: the most recent sampled request spans held for the
 /// next trace dump; overwrite-oldest beyond this.
@@ -70,8 +66,6 @@ pub const PUBLICATION_TRACE_FLAG: u64 = 1 << 63;
 pub struct Telemetry {
     /// The backing registry (for scrapes, text exposition, and net-tier extensions).
     pub registry: Arc<MetricsRegistry>,
-    /// The trace ring (update rounds, publications, batch closes, sheds).
-    pub trace: Arc<TraceRing>,
     /// The span ring: completed request spans (and updater publication spans) from
     /// sampled traces, drained by `ServingRuntime::drain_spans` / `Frame::TraceDump`.
     pub spans: Arc<SpanRing>,
@@ -114,7 +108,6 @@ impl Telemetry {
     #[must_use]
     pub fn new() -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        let trace = Arc::new(TraceRing::new(TRACE_CAPACITY));
         let spans = Arc::new(SpanRing::new(SPAN_CAPACITY));
         Self {
             stage_us: [
@@ -138,7 +131,6 @@ impl Telemetry {
             publish_to_first_serve_us: registry.histogram("publish_to_first_serve_us"),
             requests_per_epoch: registry.histogram("requests_per_epoch"),
             registry,
-            trace,
             spans,
         }
     }

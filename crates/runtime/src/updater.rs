@@ -24,7 +24,6 @@ use crate::telemetry::Telemetry;
 use liveupdate::engine::ServingNode;
 use liveupdate::snapshot::ServingSnapshot;
 use liveupdate_dlrm::sample::MiniBatch;
-use liveupdate_obs::TraceKind;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,7 +66,7 @@ pub(crate) struct UpdaterParams {
 /// Publish a fresh snapshot of `node` and record it in the report's history. With
 /// telemetry on, the outgoing snapshot's hot-row-cache tallies are carried into the
 /// fresh one first (so cache telemetry is cumulative across epochs), and the
-/// publication lands in the counters and the trace ring.
+/// publication lands in the counters and the span ring.
 fn publish_snapshot(
     node: &ServingNode,
     publisher: &Arc<EpochPublisher<ServingSnapshot>>,
@@ -87,7 +86,6 @@ fn publish_snapshot(
         tel.publications.inc();
         tel.snapshot_epoch
             .set(i64::try_from(epoch).unwrap_or(i64::MAX));
-        tel.trace.push(TraceKind::EpochPublish, epoch, checksum);
         // The publication's own span (snapshot + epoch swap), pulled by trace dumps
         // alongside request spans.
         crate::telemetry::push_publication_span(tel, epoch, span_started.unwrap_or_default());
@@ -149,8 +147,6 @@ pub(crate) fn run_updater(
                 if let Some(tel) = telemetry {
                     tel.update_rounds.add(tick.rounds);
                     tel.update_round_us.record(round_ms * 1e3);
-                    tel.trace
-                        .push(TraceKind::UpdateRound, tick.rounds, (round_ms * 1e3) as u64);
                 }
                 last_update = Instant::now();
             }

@@ -21,7 +21,7 @@ use liveupdate_dlrm::sample::MiniBatch;
 use liveupdate_obs::span::{
     STAGE_BATCH_CLOSED, STAGE_REPLY_FLUSHED, STAGE_SERVE_DONE, STAGE_SERVE_START,
 };
-use liveupdate_obs::{TraceContext, TraceKind};
+use liveupdate_obs::TraceContext;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -165,13 +165,12 @@ impl EpochTally {
     }
 }
 
-/// Record the per-batch serve metrics (occupancy, duration, counters, trace event).
+/// Record the per-batch serve metrics (occupancy, duration, counters).
 fn record_batch(tel: &Telemetry, n: usize, serve_us: u64) {
     tel.batches_total.inc();
     tel.requests_total.add(n as u64);
     tel.batch_occupancy.record(n as f64);
     tel.serve_batch_us.record(serve_us as f64);
-    tel.trace.push(TraceKind::BatchClose, n as u64, serve_us);
 }
 
 /// The standard worker loop (Background / Disabled update modes): serve from the
@@ -306,15 +305,11 @@ pub(crate) fn run_sync_worker(
             let round_ms = round_started.elapsed().as_secs_f64() * 1e3;
             updater.round_times_ms.push(round_ms);
             if let Some(tel) = telemetry {
-                let round_us = (round_ms * 1e3) as u64;
                 tel.update_rounds.add(rounds as u64);
                 tel.update_round_us.record(round_ms * 1e3);
                 tel.publications.inc();
                 tel.snapshot_epoch
                     .set(i64::try_from(epoch).unwrap_or(i64::MAX));
-                tel.trace
-                    .push(TraceKind::UpdateRound, rounds as u64, round_us);
-                tel.trace.push(TraceKind::EpochPublish, epoch, checksum);
                 crate::telemetry::push_publication_span(
                     tel,
                     epoch,

@@ -18,7 +18,7 @@
 //!   socket-based sparse LoRA sync, and the fourth execution backend with
 //!   wire-measured sync bytes.
 //! * [`obs`] — dependency-free telemetry: the sharded lock-free metrics registry,
-//!   log-linear latency histograms, the trace ring buffer, and the Prometheus-style
+//!   log-linear latency histograms, the request span ring, and the Prometheus-style
 //!   text renderer behind `Frame::Stats` and every report's `telemetry` rows.
 //!
 //! # Quickstart
