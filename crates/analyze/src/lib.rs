@@ -4,8 +4,7 @@
 //! that rustc does not check: every `unsafe` site must carry a written safety argument,
 //! every non-trivial atomic ordering on the publication path must carry a written
 //! ordering argument, the declared hot functions must stay allocation-free, the metric
-//! names every crate reports must match the documented contract, and the wire-protocol
-//! tags must stay dense and symmetric between encode and decode. This crate walks every
+//! names every crate reports must match the documented contract. This crate walks every
 //! workspace source file with a small hand-rolled lexer ([`lexer`]) — no syn, no
 //! proc-macro machinery, no dependencies at all — and enforces each invariant as a
 //! named, `file:line`-reporting pass ([`passes`]).
@@ -251,8 +250,6 @@ pub struct Report {
     pub ordering_census: BTreeMap<String, BTreeMap<String, u32>>,
     /// The metric-name contract the metrics pass checked against (normalized).
     pub metric_contract: Vec<String>,
-    /// `(name, value)` of every wire tag the wire pass saw.
-    pub wire_tags: Vec<(String, u8)>,
 }
 
 impl Report {
@@ -313,14 +310,7 @@ impl Report {
             }
             s.push_str(&json_str(m));
         }
-        s.push_str("],\n  \"wire_tags\": {");
-        for (i, (name, v)) in self.wire_tags.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("{}: {}", json_str(name), v));
-        }
-        s.push_str("}\n}\n");
+        s.push_str("]\n}\n");
         s
     }
 }
@@ -351,7 +341,6 @@ pub fn run_all(ws: &Workspace) -> Report {
     passes::atomics::run(ws, &mut report);
     passes::hotpath::run(ws, &mut report);
     passes::metrics::run(ws, &mut report);
-    passes::wire_tags::run(ws, &mut report);
     report
 }
 

@@ -53,12 +53,11 @@ fn main() -> ExitCode {
             .sum();
         eprintln!(
             "xcheck: {} files, {} unsafe sites, {} atomic orderings, {} contract \
-             metrics, {} wire tags — {} finding(s)",
+             metrics — {} finding(s)",
             ws.files.len(),
             report.unsafe_inventory.len(),
             census,
             report.metric_contract.len(),
-            report.wire_tags.len(),
             report.findings.len()
         );
     }

@@ -7,10 +7,8 @@
 //! | [`atomics`] | `SeqCst` anywhere, and `Acquire`/`Release`/`AcqRel` on the publication path, carry `// ORDERING:` arguments; census per crate |
 //! | [`hotpath`] | declared hot functions contain no allocation tokens |
 //! | [`metrics`] | metric-name literals match the telemetry-doc + README contract |
-//! | [`wire_tags`] | `TAG_*` constants are dense, unique, and encode/decode symmetric |
 
 pub mod atomics;
 pub mod hotpath;
 pub mod metrics;
 pub mod unsafe_audit;
-pub mod wire_tags;

@@ -1,4 +1,4 @@
-//! Self-tests for the five invariant passes: each must fire on a deliberately-bad
+//! Self-tests for the four invariant passes: each must fire on a deliberately-bad
 //! fixture and stay quiet on the fixed version of the same fixture. This is what makes
 //! the workspace gate trustworthy — a pass that cannot fail is not a gate.
 
@@ -411,86 +411,6 @@ fn stage_name_drift_fails_both_directions() {
     assert!(
         got.iter()
             .any(|m| m.contains("stage_x_us") && m.contains("not in STAGE_HISTOGRAMS")),
-        "{got:?}"
-    );
-}
-
-// ------------------------------------------------------------------- wire-tags
-
-const CLEAN_WIRE: &str = "pub const TAG_A: u8 = 1;\n\
-    pub const TAG_B: u8 = 2;\n\
-    fn encode(buf: &mut Vec<u8>) { buf.push(TAG_A); buf.push(TAG_B); }\n\
-    fn decode(t: u8) { match t { TAG_A => {} TAG_B => {} _ => {} } }\n";
-
-#[test]
-fn dense_unique_round_tripping_tags_pass() {
-    let got = findings(&[("crates/net/src/wire.rs", CLEAN_WIRE)], None, "wire-tags");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn tag_value_hole_fails() {
-    let bad = CLEAN_WIRE.replace("TAG_B: u8 = 2", "TAG_B: u8 = 3");
-    let got = findings(&[("crates/net/src/wire.rs", &bad)], None, "wire-tags");
-    assert_eq!(got.len(), 1, "{got:?}");
-    assert!(got[0].contains("not dense"), "{got:?}");
-}
-
-#[test]
-fn duplicate_tag_value_fails() {
-    let bad = CLEAN_WIRE.replace("TAG_B: u8 = 2", "TAG_B: u8 = 1");
-    let got = findings(&[("crates/net/src/wire.rs", &bad)], None, "wire-tags");
-    assert!(
-        got.iter().any(|m| m.contains("assigned to both")),
-        "{got:?}"
-    );
-}
-
-#[test]
-fn tag_without_decode_arm_fails() {
-    let bad = CLEAN_WIRE.replace("TAG_B => {} ", "");
-    let got = findings(&[("crates/net/src/wire.rs", &bad)], None, "wire-tags");
-    assert_eq!(got.len(), 1, "{got:?}");
-    assert!(got[0].contains("no decode arm"), "{got:?}");
-}
-
-#[test]
-fn tag_never_encoded_fails() {
-    let bad = CLEAN_WIRE.replace("buf.push(TAG_B); ", "");
-    let got = findings(&[("crates/net/src/wire.rs", &bad)], None, "wire-tags");
-    assert_eq!(got.len(), 1, "{got:?}");
-    assert!(got[0].contains("never encoded"), "{got:?}");
-}
-
-#[test]
-fn paired_reply_tags_pass() {
-    // Both pairing spellings are legal: `TAG_X` + `TAG_X_REPLY` and
-    // `TAG_Y_REQUEST` + `TAG_Y_REPLY`.
-    let src = "pub const TAG_X: u8 = 1;\n\
-        pub const TAG_X_REPLY: u8 = 2;\n\
-        pub const TAG_Y_REQUEST: u8 = 3;\n\
-        pub const TAG_Y_REPLY: u8 = 4;\n\
-        fn encode(buf: &mut Vec<u8>) {\n\
-            buf.push(TAG_X); buf.push(TAG_X_REPLY);\n\
-            buf.push(TAG_Y_REQUEST); buf.push(TAG_Y_REPLY);\n\
-        }\n\
-        fn decode(t: u8) {\n\
-            match t { TAG_X => {} TAG_X_REPLY => {} TAG_Y_REQUEST => {} TAG_Y_REPLY => {} _ => {} }\n\
-        }\n";
-    let got = findings(&[("crates/net/src/wire.rs", src)], None, "wire-tags");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn reply_tag_without_request_fails() {
-    let src = "pub const TAG_A: u8 = 1;\n\
-        pub const TAG_ORPHAN_REPLY: u8 = 2;\n\
-        fn encode(buf: &mut Vec<u8>) { buf.push(TAG_A); buf.push(TAG_ORPHAN_REPLY); }\n\
-        fn decode(t: u8) { match t { TAG_A => {} TAG_ORPHAN_REPLY => {} _ => {} } }\n";
-    let got = findings(&[("crates/net/src/wire.rs", src)], None, "wire-tags");
-    assert_eq!(got.len(), 1, "{got:?}");
-    assert!(
-        got[0].contains("TAG_ORPHAN_REPLY") && got[0].contains("no matching request tag"),
         "{got:?}"
     );
 }

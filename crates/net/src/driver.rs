@@ -25,7 +25,7 @@
 
 use crate::client::MultiConnClient;
 use crate::server::ReplicaServer;
-use crate::wire::{read_frame, write_frame, Frame, LoraRowUpdate, WireError};
+use crate::wire::{read_frame, write_frame, Frame, RowUpdate, WireError};
 use liveupdate::engine::ServingNode;
 use liveupdate::strategy::StrategyKind;
 use liveupdate::sync::{MergeAssignment, SparseLoraSync};
@@ -805,7 +805,7 @@ fn sparse_lora_sync_tick(conns: &mut [ControlConn]) -> u64 {
     for &MergeAssignment { table, row, winner } in &plan {
         per_winner[winner].push((table as u32, row as u64));
     }
-    let mut merged: Vec<LoraRowUpdate> = Vec::with_capacity(plan.len());
+    let mut merged: Vec<RowUpdate> = Vec::with_capacity(plan.len());
     let mut winner_of: Vec<usize> = Vec::with_capacity(plan.len());
     for (winner, wanted) in per_winner.iter().enumerate() {
         if wanted.is_empty() {
@@ -823,7 +823,7 @@ fn sparse_lora_sync_tick(conns: &mut [ControlConn]) -> u64 {
 
     // Push the merged rows to every rank that does not already own them.
     for (rank, conn) in conns.iter_mut().enumerate() {
-        let rows: Vec<LoraRowUpdate> = merged
+        let rows: Vec<RowUpdate> = merged
             .iter()
             .zip(&winner_of)
             .filter(|(_, &winner)| winner != rank)
@@ -890,7 +890,7 @@ fn quick_rows_tick(
     let mut rows = Vec::new();
     for (table, indices) in pulled.iter().enumerate() {
         for &row in indices {
-            rows.push(crate::wire::EmbeddingRowUpdate {
+            rows.push(RowUpdate {
                 table: table as u32,
                 row: row as u64,
                 values: shadow.table(table).row(row).to_vec(),

@@ -44,7 +44,7 @@
 //! final node — the sockets are the data path, not the management plane.
 
 use crate::poll::{Interest, Poller, Waker};
-use crate::wire::{Frame, FrameAssembler, LoraRowUpdate};
+use crate::wire::{Frame, FrameAssembler, RowUpdate};
 use liveupdate::engine::ServingNode;
 use liveupdate::sync::LoraPeer;
 use liveupdate_dlrm::model::DlrmConfig;
@@ -620,7 +620,7 @@ fn dispatch_event(conn: &mut Conn, frame: Frame, ctx: &LoopCtx) {
             rows: rows
                 .into_iter()
                 .filter(|&(table, row)| in_bounds(node, table, row))
-                .map(|(table, row)| LoraRowUpdate {
+                .map(|(table, row)| RowUpdate {
                     table,
                     row,
                     values: node.export_lora_row(table as usize, row as usize),

@@ -8,6 +8,11 @@
 //! the codec's job is to be small, deterministic, and byte-countable (the whole point of
 //! the tier is that `sync_bytes` is the sum of real frame lengths).
 //!
+//! The protocol is declared once, in the `frames!` table: a frame's tag is its position
+//! in the table, counted from 1, and both codec halves walk its fields in declaration
+//! order through one `Wire` impl per field type. So tags are dense and unique, and
+//! encode and decode agree, by construction.
+//!
 //! Robustness rules, pinned by property tests:
 //!
 //! * **Round-trip identity** — `decode(encode(f)) == f` for every frame, including
@@ -16,7 +21,7 @@
 //!   on *encode* and on *decode*; garbage never propagates into a model.
 //! * **Truncation safety** — decoding any strict prefix of a valid frame is an error,
 //!   never a panic; a corrupt length prefix is bounded by [`MAX_FRAME_BYTES`] before
-//!   anything is allocated.
+//!   anything is allocated, and a corrupt element count by the bytes that remain.
 
 use liveupdate_dlrm::sample::Sample;
 use liveupdate_obs::span::{SpanRecord, NUM_STAGES};
@@ -77,250 +82,333 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// One shipped LoRA `A` row: `(table, row)` plus the row values at the source's rank.
+/// One shipped row delta: `(table, row)` plus the row values. The LoRA frames carry
+/// `A` rows at the exporter's rank; `PushEmbeddingRows` carries fresh base-embedding
+/// rows (the wire form of a QuickUpdate-α% pull).
 #[derive(Debug, Clone, PartialEq)]
-pub struct LoraRowUpdate {
+pub struct RowUpdate {
     /// Embedding-table index.
     pub table: u32,
     /// Row within the table.
     pub row: u64,
-    /// The `A` row values.
+    /// The row values.
     pub values: Vec<f64>,
 }
 
-/// One shipped base-embedding row (the wire form of a QuickUpdate-α% pull).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmbeddingRowUpdate {
-    /// Embedding-table index.
-    pub table: u32,
-    /// Row within the table.
-    pub row: u64,
-    /// The fresh base-embedding values (length = embedding dim).
-    pub values: Vec<f64>,
-}
-
-/// Every message of the distributed serving protocol.
-///
-/// | frame | direction | reply | purpose |
-/// |---|---|---|---|
-/// | `InferRequest` | driver → replica | `InferReply` / `InferShed` | score one sample |
-/// | `PullSupport` | driver → replica | `Support` | gather the replica's active LoRA support |
-/// | `PullLoraRows` | driver → replica | `LoraRows` | fetch winning `A` rows from the priority root |
-/// | `PushLoraRows` | driver → replica | `Ack` | install merged `A` rows on a peer |
-/// | `PullB` | driver → replica | `BFactor` | fetch a touched table's dense `B` factor |
-/// | `PushB` | driver → replica | `Ack` | broadcast the `B` factor to a peer |
-/// | `PushEmbeddingRows` | driver → replica | `Ack` | QuickUpdate top-changed-row shipment |
-/// | `FullModel` | driver → replica | `Ack` | DeltaUpdate full-parameter shipment |
-/// | `Publish` | driver → replica | `Ack` | rematerialise + epoch-swap a fresh snapshot |
-/// | `Stats` | driver → replica | `StatsReply` | scrape the replica's live telemetry |
-/// | `TraceDump` | driver → replica | `TraceDumpReply` | drain the replica's span ring + raw histograms |
-/// | `Bye` | driver → replica | — | graceful connection close |
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// Score one sample; `id` correlates the asynchronous reply.
-    InferRequest {
-        /// Correlation id chosen by the submitter.
-        id: u64,
-        /// Simulated stream time in minutes.
-        time_minutes: f64,
-        /// Distributed-trace id, propagated from the driver; `0` = untraced (the
-        /// replica re-runs the deterministic sampler on nonzero ids, so both sides
-        /// agree without a flag byte).
-        trace_id: u64,
-        /// The driver-side span id, recorded as the replica span's parent.
-        parent_span_id: u64,
-        /// The sample to score.
-        sample: Sample,
-    },
-    /// The prediction for `InferRequest` with the same `id`.
-    InferReply {
-        /// Correlation id of the request.
-        id: u64,
-        /// The request's trace id echoed back (`0` = untraced), so a pipelined
-        /// driver can close its span without a lookaside table.
-        trace_id: u64,
-        /// The replica-side span id serving this request (`0` = untraced).
-        span_id: u64,
-        /// Predicted click probability.
-        prediction: f64,
-    },
-    /// The request with this `id` met a full queue and was shed.
-    InferShed {
-        /// Correlation id of the request.
-        id: u64,
-    },
-    /// Ask for the replica's active LoRA support.
-    PullSupport,
-    /// The active LoRA support: `(table, row)` pairs in ascending order.
-    Support {
-        /// The `(table, row)` support entries.
-        rows: Vec<(u32, u64)>,
-    },
-    /// Ask for the `A` rows of these `(table, row)` indices.
-    PullLoraRows {
-        /// The requested `(table, row)` indices.
-        rows: Vec<(u32, u64)>,
-    },
-    /// The requested `A` rows, values at the exporter's current rank.
-    LoraRows {
-        /// The exported rows.
-        rows: Vec<LoraRowUpdate>,
-    },
-    /// Install these merged `A` rows (losers of the priority merge receive these).
-    PushLoraRows {
-        /// The rows to install.
-        rows: Vec<LoraRowUpdate>,
-    },
-    /// Ask for one table's dense `B` factor.
-    PullB {
-        /// Embedding-table index.
-        table: u32,
-    },
-    /// A table's dense `B` factor (row-major `source_rank × dim`).
-    BFactor {
-        /// Embedding-table index.
-        table: u32,
-        /// LoRA rank of the exporting adapter.
-        source_rank: u32,
-        /// Row-major factor values.
-        values: Vec<f64>,
-    },
-    /// Install a broadcast `B` factor.
-    PushB {
-        /// Embedding-table index.
-        table: u32,
-        /// LoRA rank of the exporting adapter.
-        source_rank: u32,
-        /// Row-major factor values.
-        values: Vec<f64>,
-    },
-    /// QuickUpdate shipment: fresh base-embedding rows (top-changed by the trainer).
-    PushEmbeddingRows {
-        /// The shipped rows.
-        rows: Vec<EmbeddingRowUpdate>,
-    },
-    /// DeltaUpdate shipment: every trainable parameter in the canonical flat order of
-    /// `DlrmModel::export_parameters`.
-    FullModel {
-        /// The flat parameter vector.
-        params: Vec<f64>,
-    },
-    /// Rematerialise serving rows and publish a fresh epoch-swapped snapshot.
-    Publish,
-    /// Scrape the replica's live telemetry registry.
-    Stats,
-    /// The flattened telemetry snapshot: sorted `(metric name, value)` rows, exactly
-    /// the output of `ServingRuntime::scrape`. Empty when the replica runs with
-    /// telemetry disabled.
-    StatsReply {
-        /// The `(name, value)` metric rows.
-        metrics: Vec<(String, f64)>,
-    },
-    /// Drain the replica's completed request/publication spans and pull its raw
-    /// histogram buckets (for exact cluster-level percentile merging).
-    TraceDump,
-    /// The replica's side of the distributed traces.
-    TraceDumpReply {
-        /// Completed spans drained from the replica's span ring (each drained span is
-        /// delivered exactly once across successive dumps).
-        spans: Vec<SpanRecord>,
-        /// Raw log-linear histogram contents, one [`SparseHistogram`] per metric —
-        /// mergeable across replicas, unlike pre-flattened percentiles.
-        histograms: Vec<SparseHistogram>,
-    },
-    /// Positive acknowledgement of the preceding push.
-    Ack,
-    /// Negative acknowledgement (the push was rejected; state unchanged).
-    Nack {
-        /// Why the push was rejected.
-        reason: String,
-    },
-    /// Graceful close; the peer stops reading this connection.
-    Bye,
-}
-
-// Frame tags. Kept dense and stable; the decoder rejects anything else.
-const TAG_INFER_REQUEST: u8 = 1;
-const TAG_INFER_REPLY: u8 = 2;
-const TAG_INFER_SHED: u8 = 3;
-const TAG_PULL_SUPPORT: u8 = 4;
-const TAG_SUPPORT: u8 = 5;
-const TAG_PULL_LORA_ROWS: u8 = 6;
-const TAG_LORA_ROWS: u8 = 7;
-const TAG_PUSH_LORA_ROWS: u8 = 8;
-const TAG_PULL_B: u8 = 9;
-const TAG_B_FACTOR: u8 = 10;
-const TAG_PUSH_B: u8 = 11;
-const TAG_PUSH_EMBEDDING_ROWS: u8 = 12;
-const TAG_FULL_MODEL: u8 = 13;
-const TAG_PUBLISH: u8 = 14;
-const TAG_ACK: u8 = 15;
-const TAG_NACK: u8 = 16;
-const TAG_BYE: u8 = 17;
-const TAG_STATS: u8 = 18;
-const TAG_STATS_REPLY: u8 = 19;
-const TAG_TRACE_DUMP: u8 = 20;
-const TAG_TRACE_DUMP_REPLY: u8 = 21;
-
 // ---------------------------------------------------------------------------
-// Encoding
+// Field codec
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A value with a fixed wire form. `MIN_BYTES` is the size of its smallest encoding,
+/// so a decoder can bound a claimed element count by the bytes that remain before it
+/// allocates.
+trait Wire: Sized {
+    const MIN_BYTES: usize;
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError>;
+    fn get(r: &mut &[u8]) -> Result<Self, WireError>;
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Split the next `n` bytes off the front of the payload cursor `r`.
+fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
+    let (head, tail) = r.split_at_checked(n).ok_or(WireError::Truncated)?;
+    *r = tail;
+    Ok(head)
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) -> Result<(), WireError> {
-    if !v.is_finite() {
-        return Err(WireError::NonFinite);
-    }
-    out.extend_from_slice(&v.to_le_bytes());
-    Ok(())
-}
-
-fn put_f64_vec(out: &mut Vec<u8>, values: &[f64]) -> Result<(), WireError> {
-    put_u32(
-        out,
-        u32::try_from(values.len()).map_err(|_| WireError::Malformed("vector too long"))?,
-    );
-    for &v in values {
-        put_f64(out, v)?;
-    }
-    Ok(())
-}
-
-fn put_index_pairs(out: &mut Vec<u8>, rows: &[(u32, u64)]) -> Result<(), WireError> {
-    put_u32(
-        out,
-        u32::try_from(rows.len()).map_err(|_| WireError::Malformed("vector too long"))?,
-    );
-    for &(table, row) in rows {
-        put_u32(out, table);
-        put_u64(out, row);
-    }
-    Ok(())
-}
-
-fn put_sample(out: &mut Vec<u8>, sample: &Sample) -> Result<(), WireError> {
-    put_f64_vec(out, &sample.dense)?;
-    put_u32(
-        out,
-        u32::try_from(sample.sparse.len()).map_err(|_| WireError::Malformed("too many tables"))?,
-    );
-    for ids in &sample.sparse {
-        put_u32(
-            out,
-            u32::try_from(ids.len()).map_err(|_| WireError::Malformed("too many ids"))?,
-        );
-        for &id in ids {
-            put_u64(out, id as u64);
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+                out.extend_from_slice(&self.to_le_bytes());
+                Ok(())
+            }
+            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+                let bytes = take(r, Self::MIN_BYTES)?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact width")))
+            }
         }
+    )*};
+}
+
+wire_int!(u8, u32, u64);
+
+/// Sent as `u64`, so both ends agree whatever their pointer width.
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        (*self as u64).put(out)
     }
-    put_f64(out, sample.label)
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(u64::get(r)? as usize)
+    }
+}
+
+/// Finite-checked on both sides.
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        finite(*self)?.to_bits().put(out)
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        finite(f64::from_bits(u64::get(r)?))
+    }
+}
+
+fn finite(v: f64) -> Result<f64, WireError> {
+    v.is_finite().then_some(v).ok_or(WireError::NonFinite)
+}
+
+/// The `u32` element count that prefixes every vector and string.
+fn put_len(out: &mut Vec<u8>, len: usize) -> Result<(), WireError> {
+    u32::try_from(len)
+        .map_err(|_| WireError::Malformed("length exceeds u32"))?
+        .put(out)
+}
+
+/// Raw UTF-8 bytes after a `u32` byte count.
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        put_len(out, self.len())?;
+        out.extend_from_slice(self.as_bytes());
+        Ok(())
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        let len = u32::get(r)? as usize;
+        std::str::from_utf8(take(r, len)?)
+            .map(str::to_owned)
+            .map_err(|_| WireError::Malformed("string is not UTF-8"))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        put_len(out, self.len())?;
+        self.iter().try_for_each(|v| v.put(out))
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        let count = u32::get(r)? as usize;
+        if r.len() < count.saturating_mul(T::MIN_BYTES) {
+            return Err(WireError::Truncated);
+        }
+        let mut values = Vec::with_capacity(count);
+        for _ in 0..count {
+            values.push(T::get(r)?);
+        }
+        Ok(values)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        self.0.put(out)?;
+        self.1.put(out)
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// Fixed length, so no count on the wire.
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        self.iter().try_for_each(|v| v.put(out))
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        let mut values = [T::default(); N];
+        for v in &mut values {
+            *v = T::get(r)?;
+        }
+        Ok(values)
+    }
+}
+
+/// A struct travels as its fields in the listed order. The struct literal in `get`
+/// makes the compiler reject a missing field or a field listed with the wrong type.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident: $fty:ty),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as Wire>::MIN_BYTES)*;
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+                $(self.$field.put(out)?;)*
+                Ok(())
+            }
+            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+                Ok($ty { $($field: <$fty as Wire>::get(r)?),* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    Sample { dense: Vec<f64>, sparse: Vec<Vec<usize>>, label: f64 }
+    SpanRecord { trace_id: u64, span_id: u64, parent_span_id: u64, stages: [u64; NUM_STAGES] }
+    RowUpdate { table: u32, row: u64, values: Vec<f64> }
+}
+
+// ---------------------------------------------------------------------------
+// The frame table
+// ---------------------------------------------------------------------------
+
+/// Declares [`Frame`] once and derives the rest from it: the `Tag` enum (a variant's
+/// tag is its position in the table, counted from 1), the payload codec (the tag, then
+/// each field in declaration order), and, for tests, the variant names.
+macro_rules! frames {
+    (
+        $(#[$meta:meta])*
+        pub enum Frame {
+            $(
+                $(#[$vmeta:meta])*
+                $name:ident $({
+                    $($(#[$fmeta:meta])* $field:ident: $fty:ty),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum Frame {
+            $($(#[$vmeta])* $name $({ $($(#[$fmeta])* $field: $fty),* })?,)*
+        }
+
+        /// The frame tags, in table order.
+        #[repr(u8)]
+        enum Tag {
+            /// Never sent, so the first frame's tag is 1.
+            #[allow(dead_code)]
+            Reserved = 0,
+            $($name,)*
+        }
+
+        /// A frame's payload: its tag, then its fields. Both halves are `#[inline]`:
+        /// without it, release decode of an `InferRequest` + `InferReply` pair ran
+        /// ~20% slower than the hand-written codec this table replaced.
+        impl Wire for Frame {
+            const MIN_BYTES: usize = 1;
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+                match self {
+                    $(Frame::$name $({ $($field),* })? => {
+                        (Tag::$name as u8).put(out)?;
+                        $($($field.put(out)?;)*)?
+                    })*
+                }
+                Ok(())
+            }
+            #[inline]
+            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+                Ok(match u8::get(r)? {
+                    $(t if t == Tag::$name as u8 => Frame::$name $({
+                        $($field: <$fty as Wire>::get(r)?),*
+                    })?,)*
+                    t => return Err(WireError::BadTag(t)),
+                })
+            }
+        }
+
+        /// Every variant name, in tag order.
+        #[cfg(test)]
+        const FRAME_NAMES: &[&str] = &[$(stringify!($name)),*];
+    };
+}
+
+frames! {
+    /// Every message of the distributed serving protocol, in wire-tag order: append new
+    /// frames at the end. The driver sends every request. The replica answers
+    /// `InferRequest` with `InferReply` or `InferShed`; `PullSupport`, `PullLoraRows`,
+    /// `PullB`, `Stats` and `TraceDump` with `Support`, `LoraRows`, `BFactor`,
+    /// `StatsReply` and `TraceDumpReply`; every push and `FullModel` with `Ack` or
+    /// `Nack`, and `Publish` with `Ack`. `Bye` has no reply.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Frame {
+        /// Score one sample; `id` correlates the asynchronous reply.
+        InferRequest {
+            /// Correlation id chosen by the submitter.
+            id: u64,
+            /// Simulated stream time in minutes.
+            time_minutes: f64,
+            /// Distributed-trace id, propagated from the driver; `0` = untraced (the
+            /// replica re-runs the deterministic sampler on nonzero ids, so both sides
+            /// agree without a flag byte).
+            trace_id: u64,
+            /// The driver-side span id, recorded as the replica span's parent.
+            parent_span_id: u64,
+            /// The sample to score.
+            sample: Sample,
+        },
+        /// The prediction for `InferRequest` with the same `id`.
+        InferReply {
+            /// Correlation id of the request.
+            id: u64,
+            /// The request's trace id echoed back (`0` = untraced), so a pipelined
+            /// driver can close its span without a lookaside table.
+            trace_id: u64,
+            /// The replica-side span id serving this request (`0` = untraced).
+            span_id: u64,
+            /// Predicted click probability.
+            prediction: f64,
+        },
+        /// The request with this `id` met a full queue and was shed.
+        InferShed { id: u64 },
+        /// Ask for the replica's active LoRA support.
+        PullSupport,
+        /// The active LoRA support: `(table, row)` pairs in ascending order.
+        Support { rows: Vec<(u32, u64)> },
+        /// Ask for the `A` rows of these `(table, row)` indices.
+        PullLoraRows { rows: Vec<(u32, u64)> },
+        /// The requested `A` rows, values at the exporter's current rank.
+        LoraRows { rows: Vec<RowUpdate> },
+        /// Install these merged `A` rows (losers of the priority merge receive these).
+        PushLoraRows { rows: Vec<RowUpdate> },
+        /// Ask for one table's dense `B` factor.
+        PullB { table: u32 },
+        /// A table's dense `B` factor (row-major `source_rank × dim`).
+        BFactor {
+            /// Embedding-table index.
+            table: u32,
+            /// LoRA rank of the exporting adapter.
+            source_rank: u32,
+            /// Row-major factor values.
+            values: Vec<f64>,
+        },
+        /// Install a broadcast `B` factor (fields as in [`Frame::BFactor`]).
+        PushB { table: u32, source_rank: u32, values: Vec<f64> },
+        /// QuickUpdate shipment: fresh base-embedding rows (top-changed by the trainer),
+        /// each as long as the embedding dim.
+        PushEmbeddingRows { rows: Vec<RowUpdate> },
+        /// DeltaUpdate shipment: every trainable parameter in the canonical flat order
+        /// of `DlrmModel::export_parameters`.
+        FullModel { params: Vec<f64> },
+        /// Rematerialise serving rows and publish a fresh epoch-swapped snapshot.
+        Publish,
+        /// Positive acknowledgement of the preceding push.
+        Ack,
+        /// Negative acknowledgement: the push was rejected for `reason`; state unchanged.
+        Nack { reason: String },
+        /// Graceful close; the peer stops reading this connection.
+        Bye,
+        /// Scrape the replica's live telemetry registry.
+        Stats,
+        /// The flattened telemetry snapshot: sorted `(metric name, value)` rows,
+        /// exactly the output of `ServingRuntime::scrape`. Empty when the replica runs
+        /// with telemetry disabled.
+        StatsReply { metrics: Vec<(String, f64)> },
+        /// Drain the replica's completed request/publication spans and pull its raw
+        /// histogram buckets (for exact cluster-level percentile merging).
+        TraceDump,
+        /// The replica's side of the distributed traces.
+        TraceDumpReply {
+            /// Completed spans drained from the replica's span ring (each drained span
+            /// is delivered exactly once across successive dumps).
+            spans: Vec<SpanRecord>,
+            /// Raw log-linear histogram contents, one [`SparseHistogram`] per metric —
+            /// mergeable across replicas, unlike pre-flattened percentiles.
+            histograms: Vec<SparseHistogram>,
+        },
+    }
 }
 
 impl Frame {
@@ -331,289 +419,20 @@ impl Frame {
     /// [`WireError::NonFinite`] if any float is NaN/infinite; [`WireError::Malformed`]
     /// if a vector exceeds `u32` length.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut payload = Vec::with_capacity(64);
-        match self {
-            Frame::InferRequest {
-                id,
-                time_minutes,
-                trace_id,
-                parent_span_id,
-                sample,
-            } => {
-                payload.push(TAG_INFER_REQUEST);
-                put_u64(&mut payload, *id);
-                put_f64(&mut payload, *time_minutes)?;
-                put_u64(&mut payload, *trace_id);
-                put_u64(&mut payload, *parent_span_id);
-                put_sample(&mut payload, sample)?;
-            }
-            Frame::InferReply {
-                id,
-                trace_id,
-                span_id,
-                prediction,
-            } => {
-                payload.push(TAG_INFER_REPLY);
-                put_u64(&mut payload, *id);
-                put_u64(&mut payload, *trace_id);
-                put_u64(&mut payload, *span_id);
-                put_f64(&mut payload, *prediction)?;
-            }
-            Frame::InferShed { id } => {
-                payload.push(TAG_INFER_SHED);
-                put_u64(&mut payload, *id);
-            }
-            Frame::PullSupport => payload.push(TAG_PULL_SUPPORT),
-            Frame::Support { rows } => {
-                payload.push(TAG_SUPPORT);
-                put_index_pairs(&mut payload, rows)?;
-            }
-            Frame::PullLoraRows { rows } => {
-                payload.push(TAG_PULL_LORA_ROWS);
-                put_index_pairs(&mut payload, rows)?;
-            }
-            Frame::LoraRows { rows } | Frame::PushLoraRows { rows } => {
-                payload.push(if matches!(self, Frame::LoraRows { .. }) {
-                    TAG_LORA_ROWS
-                } else {
-                    TAG_PUSH_LORA_ROWS
-                });
-                put_u32(
-                    &mut payload,
-                    u32::try_from(rows.len())
-                        .map_err(|_| WireError::Malformed("vector too long"))?,
-                );
-                for row in rows {
-                    put_u32(&mut payload, row.table);
-                    put_u64(&mut payload, row.row);
-                    put_f64_vec(&mut payload, &row.values)?;
-                }
-            }
-            Frame::PullB { table } => {
-                payload.push(TAG_PULL_B);
-                put_u32(&mut payload, *table);
-            }
-            Frame::BFactor {
-                table,
-                source_rank,
-                values,
-            }
-            | Frame::PushB {
-                table,
-                source_rank,
-                values,
-            } => {
-                payload.push(if matches!(self, Frame::BFactor { .. }) {
-                    TAG_B_FACTOR
-                } else {
-                    TAG_PUSH_B
-                });
-                put_u32(&mut payload, *table);
-                put_u32(&mut payload, *source_rank);
-                put_f64_vec(&mut payload, values)?;
-            }
-            Frame::PushEmbeddingRows { rows } => {
-                payload.push(TAG_PUSH_EMBEDDING_ROWS);
-                put_u32(
-                    &mut payload,
-                    u32::try_from(rows.len())
-                        .map_err(|_| WireError::Malformed("vector too long"))?,
-                );
-                for row in rows {
-                    put_u32(&mut payload, row.table);
-                    put_u64(&mut payload, row.row);
-                    put_f64_vec(&mut payload, &row.values)?;
-                }
-            }
-            Frame::FullModel { params } => {
-                payload.push(TAG_FULL_MODEL);
-                put_f64_vec(&mut payload, params)?;
-            }
-            Frame::Publish => payload.push(TAG_PUBLISH),
-            Frame::Ack => payload.push(TAG_ACK),
-            Frame::Nack { reason } => {
-                payload.push(TAG_NACK);
-                let bytes = reason.as_bytes();
-                put_u32(
-                    &mut payload,
-                    u32::try_from(bytes.len())
-                        .map_err(|_| WireError::Malformed("reason too long"))?,
-                );
-                payload.extend_from_slice(bytes);
-            }
-            Frame::Bye => payload.push(TAG_BYE),
-            Frame::Stats => payload.push(TAG_STATS),
-            Frame::StatsReply { metrics } => {
-                payload.push(TAG_STATS_REPLY);
-                put_u32(
-                    &mut payload,
-                    u32::try_from(metrics.len())
-                        .map_err(|_| WireError::Malformed("vector too long"))?,
-                );
-                for (name, value) in metrics {
-                    let bytes = name.as_bytes();
-                    put_u32(
-                        &mut payload,
-                        u32::try_from(bytes.len())
-                            .map_err(|_| WireError::Malformed("metric name too long"))?,
-                    );
-                    payload.extend_from_slice(bytes);
-                    put_f64(&mut payload, *value)?;
-                }
-            }
-            Frame::TraceDump => payload.push(TAG_TRACE_DUMP),
-            Frame::TraceDumpReply { spans, histograms } => {
-                payload.push(TAG_TRACE_DUMP_REPLY);
-                put_u32(
-                    &mut payload,
-                    u32::try_from(spans.len())
-                        .map_err(|_| WireError::Malformed("vector too long"))?,
-                );
-                for span in spans {
-                    put_u64(&mut payload, span.trace_id);
-                    put_u64(&mut payload, span.span_id);
-                    put_u64(&mut payload, span.parent_span_id);
-                    for &stamp in &span.stages {
-                        put_u64(&mut payload, stamp);
-                    }
-                }
-                put_u32(
-                    &mut payload,
-                    u32::try_from(histograms.len())
-                        .map_err(|_| WireError::Malformed("vector too long"))?,
-                );
-                for (name, buckets) in histograms {
-                    let bytes = name.as_bytes();
-                    put_u32(
-                        &mut payload,
-                        u32::try_from(bytes.len())
-                            .map_err(|_| WireError::Malformed("metric name too long"))?,
-                    );
-                    payload.extend_from_slice(bytes);
-                    put_u32(
-                        &mut payload,
-                        u32::try_from(buckets.len())
-                            .map_err(|_| WireError::Malformed("vector too long"))?,
-                    );
-                    for &(bucket, count) in buckets {
-                        put_u32(&mut payload, bucket);
-                        put_u64(&mut payload, count);
-                    }
-                }
-            }
-        }
+        // One buffer: reserve the length prefix, write the payload after it, then fill
+        // the prefix in.
+        let mut out = Vec::with_capacity(64);
+        out.extend_from_slice(&[0; 4]);
+        self.put(&mut out)?;
         let len =
-            u32::try_from(payload.len()).map_err(|_| WireError::Malformed("payload too long"))?;
+            u32::try_from(out.len() - 4).map_err(|_| WireError::Malformed("payload too long"))?;
         if len > MAX_FRAME_BYTES {
             return Err(WireError::TooLarge(len));
         }
-        let mut out = Vec::with_capacity(4 + payload.len());
-        put_u32(&mut out, len);
-        out.extend_from_slice(&payload);
+        out[..4].copy_from_slice(&len.to_le_bytes());
         Ok(out)
     }
-}
 
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
-/// Cursor over one frame payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() < n {
-            return Err(WireError::Truncated);
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        let v = f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"));
-        if !v.is_finite() {
-            return Err(WireError::NonFinite);
-        }
-        Ok(v)
-    }
-
-    /// A length-prefixed f64 vector; the count is validated against the remaining
-    /// payload before anything is allocated.
-    fn f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
-        let count = self.u32()? as usize;
-        if self.buf.len() < count.saturating_mul(8) {
-            return Err(WireError::Truncated);
-        }
-        (0..count).map(|_| self.f64()).collect()
-    }
-
-    fn index_pairs(&mut self) -> Result<Vec<(u32, u64)>, WireError> {
-        let count = self.u32()? as usize;
-        if self.buf.len() < count.saturating_mul(12) {
-            return Err(WireError::Truncated);
-        }
-        (0..count).map(|_| Ok((self.u32()?, self.u64()?))).collect()
-    }
-
-    fn lora_rows(&mut self) -> Result<Vec<LoraRowUpdate>, WireError> {
-        let count = self.u32()? as usize;
-        // Each entry is at least table(4) + row(8) + count(4) bytes.
-        if self.buf.len() < count.saturating_mul(16) {
-            return Err(WireError::Truncated);
-        }
-        (0..count)
-            .map(|_| {
-                Ok(LoraRowUpdate {
-                    table: self.u32()?,
-                    row: self.u64()?,
-                    values: self.f64_vec()?,
-                })
-            })
-            .collect()
-    }
-
-    fn sample(&mut self) -> Result<Sample, WireError> {
-        let dense = self.f64_vec()?;
-        let num_tables = self.u32()? as usize;
-        if self.buf.len() < num_tables.saturating_mul(4) {
-            return Err(WireError::Truncated);
-        }
-        let mut sparse = Vec::with_capacity(num_tables);
-        for _ in 0..num_tables {
-            let count = self.u32()? as usize;
-            if self.buf.len() < count.saturating_mul(8) {
-                return Err(WireError::Truncated);
-            }
-            let ids: Result<Vec<usize>, WireError> =
-                (0..count).map(|_| Ok(self.u64()? as usize)).collect();
-            sparse.push(ids?);
-        }
-        let label = self.f64()?;
-        Ok(Sample::new(dense, sparse, label))
-    }
-}
-
-impl Frame {
     /// Decode one frame payload (the bytes after the length prefix).
     ///
     /// # Errors
@@ -621,142 +440,9 @@ impl Frame {
     /// Any [`WireError`] for malformed, truncated, over-long, or non-finite input.
     /// Never panics on arbitrary bytes.
     pub fn decode(payload: &[u8]) -> Result<Frame, WireError> {
-        let mut r = Reader { buf: payload };
-        let frame = match r.u8()? {
-            TAG_INFER_REQUEST => Frame::InferRequest {
-                id: r.u64()?,
-                time_minutes: r.f64()?,
-                trace_id: r.u64()?,
-                parent_span_id: r.u64()?,
-                sample: r.sample()?,
-            },
-            TAG_INFER_REPLY => Frame::InferReply {
-                id: r.u64()?,
-                trace_id: r.u64()?,
-                span_id: r.u64()?,
-                prediction: r.f64()?,
-            },
-            TAG_INFER_SHED => Frame::InferShed { id: r.u64()? },
-            TAG_PULL_SUPPORT => Frame::PullSupport,
-            TAG_SUPPORT => Frame::Support {
-                rows: r.index_pairs()?,
-            },
-            TAG_PULL_LORA_ROWS => Frame::PullLoraRows {
-                rows: r.index_pairs()?,
-            },
-            TAG_LORA_ROWS => Frame::LoraRows {
-                rows: r.lora_rows()?,
-            },
-            TAG_PUSH_LORA_ROWS => Frame::PushLoraRows {
-                rows: r.lora_rows()?,
-            },
-            TAG_PULL_B => Frame::PullB { table: r.u32()? },
-            TAG_B_FACTOR => Frame::BFactor {
-                table: r.u32()?,
-                source_rank: r.u32()?,
-                values: r.f64_vec()?,
-            },
-            TAG_PUSH_B => Frame::PushB {
-                table: r.u32()?,
-                source_rank: r.u32()?,
-                values: r.f64_vec()?,
-            },
-            TAG_PUSH_EMBEDDING_ROWS => Frame::PushEmbeddingRows {
-                rows: r
-                    .lora_rows()?
-                    .into_iter()
-                    .map(|row| EmbeddingRowUpdate {
-                        table: row.table,
-                        row: row.row,
-                        values: row.values,
-                    })
-                    .collect(),
-            },
-            TAG_FULL_MODEL => Frame::FullModel {
-                params: r.f64_vec()?,
-            },
-            TAG_PUBLISH => Frame::Publish,
-            TAG_ACK => Frame::Ack,
-            TAG_NACK => {
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?;
-                Frame::Nack {
-                    reason: String::from_utf8(bytes.to_vec())
-                        .map_err(|_| WireError::Malformed("reason is not UTF-8"))?,
-                }
-            }
-            TAG_BYE => Frame::Bye,
-            TAG_STATS => Frame::Stats,
-            TAG_STATS_REPLY => {
-                let count = r.u32()? as usize;
-                // Each entry is at least name-length(4) + value(8) bytes.
-                if r.buf.len() < count.saturating_mul(12) {
-                    return Err(WireError::Truncated);
-                }
-                let metrics: Result<Vec<(String, f64)>, WireError> = (0..count)
-                    .map(|_| {
-                        let len = r.u32()? as usize;
-                        let bytes = r.take(len)?;
-                        let name = String::from_utf8(bytes.to_vec())
-                            .map_err(|_| WireError::Malformed("metric name is not UTF-8"))?;
-                        Ok((name, r.f64()?))
-                    })
-                    .collect();
-                Frame::StatsReply { metrics: metrics? }
-            }
-            TAG_TRACE_DUMP => Frame::TraceDump,
-            TAG_TRACE_DUMP_REPLY => {
-                let span_count = r.u32()? as usize;
-                // Each span is 3 ids + NUM_STAGES stamps, all u64.
-                if r.buf.len() < span_count.saturating_mul((3 + NUM_STAGES) * 8) {
-                    return Err(WireError::Truncated);
-                }
-                let spans: Result<Vec<SpanRecord>, WireError> = (0..span_count)
-                    .map(|_| {
-                        let trace_id = r.u64()?;
-                        let span_id = r.u64()?;
-                        let parent_span_id = r.u64()?;
-                        let mut stages = [0u64; NUM_STAGES];
-                        for stamp in &mut stages {
-                            *stamp = r.u64()?;
-                        }
-                        Ok(SpanRecord {
-                            trace_id,
-                            span_id,
-                            parent_span_id,
-                            stages,
-                        })
-                    })
-                    .collect();
-                let hist_count = r.u32()? as usize;
-                // Each histogram is at least name-length(4) + bucket-count(4) bytes.
-                if r.buf.len() < hist_count.saturating_mul(8) {
-                    return Err(WireError::Truncated);
-                }
-                let histograms: Result<Vec<SparseHistogram>, WireError> = (0..hist_count)
-                    .map(|_| {
-                        let len = r.u32()? as usize;
-                        let bytes = r.take(len)?;
-                        let name = String::from_utf8(bytes.to_vec())
-                            .map_err(|_| WireError::Malformed("metric name is not UTF-8"))?;
-                        let bucket_count = r.u32()? as usize;
-                        if r.buf.len() < bucket_count.saturating_mul(12) {
-                            return Err(WireError::Truncated);
-                        }
-                        let buckets: Result<Vec<(u32, u64)>, WireError> = (0..bucket_count)
-                            .map(|_| Ok((r.u32()?, r.u64()?)))
-                            .collect();
-                        Ok((name, buckets?))
-                    })
-                    .collect();
-                Frame::TraceDumpReply {
-                    spans: spans?,
-                    histograms: histograms?,
-                }
-            }
-            tag => return Err(WireError::BadTag(tag)),
-        };
-        if !r.buf.is_empty() {
+        let mut r = payload;
+        let frame = Frame::get(&mut r)?;
+        if !r.is_empty() {
             return Err(WireError::TrailingBytes);
         }
         Ok(frame)
@@ -941,7 +627,7 @@ mod tests {
             Frame::PullLoraRows { rows: vec![(0, 1)] },
             Frame::LoraRows { rows: vec![] },
             Frame::LoraRows {
-                rows: vec![LoraRowUpdate {
+                rows: vec![RowUpdate {
                     table: 0,
                     row: 3,
                     values: long_row.clone(),
@@ -949,12 +635,12 @@ mod tests {
             },
             Frame::PushLoraRows {
                 rows: vec![
-                    LoraRowUpdate {
+                    RowUpdate {
                         table: 1,
                         row: 0,
                         values: vec![],
                     },
-                    LoraRowUpdate {
+                    RowUpdate {
                         table: 0,
                         row: 2,
                         values: vec![1.0, -2.0],
@@ -973,7 +659,7 @@ mod tests {
                 values: vec![0.0; 8],
             },
             Frame::PushEmbeddingRows {
-                rows: vec![EmbeddingRowUpdate {
+                rows: vec![RowUpdate {
                     table: 0,
                     row: 11,
                     values: vec![0.5; 8],
@@ -1022,6 +708,55 @@ mod tests {
             },
             Frame::Bye,
         ]
+    }
+
+    /// `(encoded length, FNV-1a 64 of the encoding)` of each exemplar, in order,
+    /// captured from the hand-written codec this frame table replaced.
+    #[rustfmt::skip]
+    const GOLDEN: [(usize, u64); 28] = [
+        (105, 0xa1fd_0d2f_fa40_5b80), (53, 0x073e_532c_5bd4_4513), (37, 0x88ff_017a_a6ba_5140),
+        (37, 0x82a4_3ae9_74b5_6c8c), (13, 0x2e98_58c7_e019_cbb5), (5, 0xd80d_68ae_a7dc_7820),
+        (9, 0x445b_473a_b016_6f4f), (33, 0x7a0b_ed84_86cd_72e9), (21, 0x394c_8a6a_cad8_6d56),
+        (9, 0x5db9_0d8f_aab5_4415), (32793, 0x9f7a_ade3_9511_2ca8), (57, 0x9744_761c_5aec_f8b2),
+        (9, 0x9726_cfcb_a2b2_e328), (32785, 0xbae2_222f_5209_8866), (81, 0xb966_d161_f03c_c296),
+        (89, 0xdeb7_6d92_3725_24f6), (9, 0x9d23_7d64_1d42_5804), (32777, 0xafe1_82fd_1031_ad88),
+        (5, 0xd80d_72ae_a7dc_891e), (5, 0xd80d_7eae_a7dc_9d82), (9, 0xf5eb_b38d_8a6e_40b9),
+        (97, 0xa80c_2e71_9c8d_644d), (5, 0xd80d_78ae_a7dc_9350), (13, 0xe895_e6b8_05a1_b97b),
+        (211, 0x8ca2_38fa_e883_e56c), (5, 0xd80d_73ae_a7dc_8ad1), (26, 0x7896_c788_df15_a074),
+        (5, 0xd80d_7dae_a7dc_9bcf),
+    ];
+
+    #[test]
+    fn every_exemplar_encodes_to_its_golden_bytes() {
+        assert_eq!(exemplars().len(), GOLDEN.len());
+        for (frame, golden) in exemplars().into_iter().zip(GOLDEN) {
+            let bytes = frame.encode().unwrap();
+            let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            assert_eq!((bytes.len(), fnv), golden, "{frame:?}");
+        }
+    }
+
+    #[test]
+    fn exemplars_cover_every_tag() {
+        let seen: std::collections::BTreeSet<u8> =
+            exemplars().iter().map(|f| f.encode().unwrap()[4]).collect();
+        let tags = 1..=FRAME_NAMES.len() as u8;
+        assert!(seen.into_iter().eq(tags), "a tag lacks its exemplar");
+    }
+
+    #[test]
+    fn every_reply_has_its_request() {
+        for name in FRAME_NAMES {
+            if let Some(base) = name.strip_suffix("Reply") {
+                let request = format!("{base}Request");
+                assert!(
+                    FRAME_NAMES.iter().any(|&n| n == base || n == request),
+                    "{name} has no {base} or {request} frame to answer"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1286,7 +1021,7 @@ mod tests {
             let frame = Frame::PushLoraRows {
                 rows: entries
                     .into_iter()
-                    .map(|(table, row, values)| LoraRowUpdate { table, row, values })
+                    .map(|(table, row, values)| RowUpdate { table, row, values })
                     .collect(),
             };
             let bytes = frame.encode().unwrap();
@@ -1331,7 +1066,7 @@ mod tests {
             let frame = Frame::LoraRows {
                 rows: entries
                     .into_iter()
-                    .map(|(table, row, values)| LoraRowUpdate { table, row, values })
+                    .map(|(table, row, values)| RowUpdate { table, row, values })
                     .collect(),
             };
             let payload = &frame.encode().unwrap()[4..];

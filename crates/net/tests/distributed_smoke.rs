@@ -5,7 +5,7 @@ use liveupdate::config::LiveUpdateConfig;
 use liveupdate::engine::ServingNode;
 use liveupdate::strategy::StrategyKind;
 use liveupdate_dlrm::model::{DlrmConfig, DlrmModel};
-use liveupdate_net::wire::{read_frame, write_frame, Frame, LoraRowUpdate};
+use liveupdate_net::wire::{read_frame, write_frame, Frame, RowUpdate};
 use liveupdate_net::{run_distributed, DistributedBackend, DistributedConfig, ReplicaServer};
 use liveupdate_runtime::config::{RuntimeConfig, UpdateMode};
 use liveupdate_runtime::policy::{LiveUpdatePolicy, UpdatePolicy};
@@ -81,7 +81,7 @@ fn replica_server_serves_and_syncs_over_tcp() {
         Frame::Support { rows: vec![] }
     );
     let pushed = Frame::PushLoraRows {
-        rows: vec![LoraRowUpdate {
+        rows: vec![RowUpdate {
             table: 0,
             row: 7,
             values: vec![1.0; 4],
@@ -117,7 +117,7 @@ fn replica_server_serves_and_syncs_over_tcp() {
     match call(
         &mut conn,
         &Frame::PushLoraRows {
-            rows: vec![LoraRowUpdate {
+            rows: vec![RowUpdate {
                 table: 9,
                 row: 0,
                 values: vec![],

@@ -77,6 +77,15 @@ impl<T> EpochPublisher<T> {
         self.now_us().saturating_sub(published_at)
     }
 
+    /// The current epoch and its [`publish_age_us`](Self::publish_age_us), read
+    /// together under the slot lock: `publish` writes both while holding it, so the
+    /// age always belongs to the epoch it is paired with.
+    #[must_use]
+    pub fn epoch_and_age_us(&self) -> (u64, u64) {
+        let slot = self.slot.lock().expect("epoch slot poisoned");
+        (slot.0, self.publish_age_us())
+    }
+
     /// The most recently published epoch.
     #[must_use]
     pub fn epoch(&self) -> u64 {
@@ -229,5 +238,48 @@ mod tests {
             assert!(final_epoch <= 500);
         }
         assert_eq!(p.epoch(), 500);
+    }
+
+    #[test]
+    fn epoch_and_age_pair_up_under_concurrent_publication() {
+        // A scraper reads (epoch, age) while a publisher swaps epochs. Each sample's
+        // implied publish time, now − age, must fall inside the window in which that
+        // epoch's stamp was taken; an age left over from the previous epoch falls
+        // before it.
+        const EPOCHS: u64 = 200;
+        let p = EpochPublisher::new(0u64);
+        let scraper = {
+            let p = Arc::clone(&p);
+            thread::spawn(move || {
+                let mut samples = Vec::new();
+                while p.epoch() < EPOCHS {
+                    let before = p.now_us();
+                    let (epoch, age) = p.epoch_and_age_us();
+                    samples.push((epoch, before, p.now_us(), age));
+                }
+                samples
+            })
+        };
+        // windows[e] = clock range in which epoch e's publish stamp was taken. The
+        // sleep only spaces the stamps apart so that a stale age is detectable; the
+        // check holds for every interleaving.
+        let mut windows = vec![(0, 0)];
+        for e in 1..=EPOCHS {
+            thread::sleep(std::time::Duration::from_micros(100));
+            let before = p.now_us();
+            p.publish(e);
+            windows.push((before, p.now_us()));
+        }
+        let samples = scraper.join().expect("scraper panicked");
+        assert!(!samples.is_empty());
+        for (epoch, before, after, age) in samples {
+            let (stamp_lo, stamp_hi) = windows[epoch as usize];
+            // The age was computed at some instant in [before, after].
+            assert!(
+                before.saturating_sub(age) <= stamp_hi && after.saturating_sub(age) >= stamp_lo,
+                "epoch {epoch} paired with age {age} µs read in [{before}, {after}], \
+                 but it was published in [{stamp_lo}, {stamp_hi}]"
+            );
+        }
     }
 }

@@ -275,7 +275,7 @@ impl ServingRuntime {
     /// (`[(name, value)]`, sorted by name) — the payload of a `Frame::StatsReply` and
     /// of [`RuntimeReport::telemetry`](crate::report::RuntimeReport). Empty when
     /// telemetry is off. Never blocks serving: gauge refresh is a handful of relaxed
-    /// stores plus one brief epoch-slot lock (the same cost as an epoch adoption), and
+    /// stores plus two brief epoch-slot locks (each the cost of an epoch adoption), and
     /// the registry walk reads atomics shard by shard.
     #[must_use]
     pub fn scrape(&self) -> Vec<(String, f64)> {
@@ -289,10 +289,11 @@ impl ServingRuntime {
     /// Compute the sampled gauges: snapshot freshness (`epoch_age_us`), queue depth,
     /// and the cumulative per-table hot-row-cache tallies of the live snapshot.
     fn refresh_gauges(&self, tel: &Telemetry) {
+        let (epoch, age_us) = self.publisher.epoch_and_age_us();
         tel.epoch_age_us
-            .set(i64::try_from(self.publisher.publish_age_us()).unwrap_or(i64::MAX));
+            .set(i64::try_from(age_us).unwrap_or(i64::MAX));
         tel.snapshot_epoch
-            .set(i64::try_from(self.publisher.epoch()).unwrap_or(i64::MAX));
+            .set(i64::try_from(epoch).unwrap_or(i64::MAX));
         let submitted = self.submitted.load(Ordering::Relaxed);
         let completed = self.processed.load(Ordering::Acquire);
         tel.queue_depth

@@ -6,7 +6,7 @@
 //! accounting — the source of the Fig. 11 hit-ratio numbers.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Byte-capacity LRU cache over `u64` keys (e.g. `(table_id << 40) | row_id`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -15,6 +15,9 @@ pub struct LruCache {
     used_bytes: u64,
     /// key → (size in bytes, last-access tick)
     entries: HashMap<u64, (u64, u64)>,
+    /// last-access tick → key, the recency order. Ticks are unique, so the first entry
+    /// is always the least recently used key.
+    recency: BTreeMap<u64, u64>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -33,6 +36,7 @@ impl LruCache {
             capacity_bytes,
             used_bytes: 0,
             entries: HashMap::new(),
+            recency: BTreeMap::new(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -92,6 +96,8 @@ impl LruCache {
     pub fn access(&mut self, key: u64, size_bytes: u64) -> bool {
         self.tick += 1;
         if let Some(entry) = self.entries.get_mut(&key) {
+            self.recency.remove(&entry.1);
+            self.recency.insert(self.tick, key);
             entry.1 = self.tick;
             self.hits += 1;
             return true;
@@ -107,7 +113,9 @@ impl LruCache {
         let size = size_bytes.min(self.capacity_bytes);
         if let Some(old) = self.entries.insert(key, (size, self.tick)) {
             self.used_bytes -= old.0;
+            self.recency.remove(&old.1);
         }
+        self.recency.insert(self.tick, key);
         self.used_bytes += size;
         self.evict_to_fit();
     }
@@ -121,6 +129,7 @@ impl LruCache {
     /// Remove everything and reset the statistics.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.recency.clear();
         self.used_bytes = 0;
         self.hits = 0;
         self.misses = 0;
@@ -128,13 +137,9 @@ impl LruCache {
 
     fn evict_to_fit(&mut self) {
         while self.used_bytes > self.capacity_bytes {
-            // Find the least recently used entry. Linear scan is fine for the entry counts
-            // used in the experiments (thousands).
-            let lru_key = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(k, _)| *k)
+            let (_, lru_key) = self
+                .recency
+                .pop_first()
                 .expect("used_bytes > 0 implies at least one entry");
             if let Some((size, _)) = self.entries.remove(&lru_key) {
                 self.used_bytes -= size;
@@ -244,8 +249,74 @@ mod tests {
         assert!(c.hit_ratio() < 0.05, "hit ratio {}", c.hit_ratio());
     }
 
+    /// The linear-scan LRU the recency index replaced: the reference for eviction order.
+    struct ScanLru {
+        capacity_bytes: u64,
+        used_bytes: u64,
+        entries: HashMap<u64, (u64, u64)>,
+        tick: u64,
+    }
+
+    impl ScanLru {
+        fn access(&mut self, key: u64, size_bytes: u64) -> bool {
+            self.tick += 1;
+            if let Some(entry) = self.entries.get_mut(&key) {
+                entry.1 = self.tick;
+                return true;
+            }
+            self.insert(key, size_bytes);
+            false
+        }
+
+        fn insert(&mut self, key: u64, size_bytes: u64) {
+            self.tick += 1;
+            let size = size_bytes.min(self.capacity_bytes);
+            if let Some(old) = self.entries.insert(key, (size, self.tick)) {
+                self.used_bytes -= old.0;
+            }
+            self.used_bytes += size;
+            while self.used_bytes > self.capacity_bytes {
+                let lru_key = *self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, (_, tick))| *tick)
+                    .expect("nonempty")
+                    .0;
+                self.used_bytes -= self.entries.remove(&lru_key).expect("present").0;
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Same hits, misses and residency as the linear scan over random traces of
+        /// accesses and prefetch inserts with mixed entry sizes.
+        #[test]
+        fn prop_matches_linear_scan_reference(
+            ops in proptest::collection::vec((0u64..64, 1u64..300, 0u8..4), 1..400),
+            capacity in 100u64..3000,
+        ) {
+            let mut c = LruCache::new(capacity);
+            let mut reference = ScanLru {
+                capacity_bytes: capacity,
+                used_bytes: 0,
+                entries: HashMap::new(),
+                tick: 0,
+            };
+            for (key, size, op) in ops {
+                if op == 0 {
+                    c.insert(key, size);
+                    reference.insert(key, size);
+                } else {
+                    prop_assert_eq!(c.access(key, size), reference.access(key, size));
+                }
+                prop_assert_eq!(c.used_bytes(), reference.used_bytes);
+                for k in 0..64 {
+                    prop_assert_eq!(c.contains(k), reference.entries.contains_key(&k));
+                }
+            }
+        }
 
         #[test]
         fn prop_used_bytes_never_exceed_capacity(
