@@ -300,12 +300,14 @@ impl Conn {
 
 /// Pre-registered event-loop telemetry handles (present iff the runtime keeps a
 /// registry). Loop-level health that per-request metrics cannot show: how often the
-/// loop wakes, how much readiness each wake amortises, and how many replies the
-/// runtime currently owes across all connections.
+/// loop wakes, how much readiness each wake amortises, how many replies the runtime
+/// currently owes across all connections, and how many connections are open (set
+/// when a `Frame::Stats` scrape is answered).
 struct LoopStats {
     wakeups: Arc<Counter>,
     ready_events: Arc<LogLinearHistogram>,
     owed: Arc<Gauge>,
+    open_connections: Arc<Gauge>,
 }
 
 impl LoopStats {
@@ -315,6 +317,7 @@ impl LoopStats {
             wakeups: tel.registry.counter("net_wakeups_total"),
             ready_events: tel.registry.histogram("net_ready_events_per_wake"),
             owed: tel.registry.gauge("net_owed_replies"),
+            open_connections: tel.registry.gauge("net_open_connections"),
         })
     }
 }
@@ -698,9 +701,9 @@ fn dispatch_event(conn: &mut Conn, frame: Frame, ctx: &LoopCtx) {
             // Answered inline from the lock-free registry: a scrape never waits on the
             // updater and never blocks a worker. The loop's connection gauge is folded
             // in first (when telemetry is on).
-            if let Some(tel) = ctx.runtime.telemetry() {
+            if let Some(stats) = &ctx.stats {
                 let open = ctx.open_connections.load(Ordering::Acquire);
-                tel.registry.gauge("net_open_connections").set(open as i64);
+                stats.open_connections.set(open as i64);
             }
             let reply = Frame::StatsReply {
                 metrics: ctx.runtime.scrape(),

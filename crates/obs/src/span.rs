@@ -62,9 +62,9 @@ pub const STAGE_NAMES: [&str; NUM_STAGES] = [
 
 /// Metric names of the per-stage latency histograms: the duration between
 /// consecutive stage boundaries (`STAGE_HISTOGRAMS[i]` spans `STAGE_NAMES[i]` →
-/// `STAGE_NAMES[i + 1]`). These names are a contract shared by the runtime's
-/// telemetry table, the README, and the scenario backends' synthesized rows; the
-/// `analyze` metric-contract pass pins the three views together.
+/// `STAGE_NAMES[i + 1]`). This is the one list of these names: the runtime registers
+/// its stage histograms from it and the scenario backends synthesize their rows from
+/// it; the workspace's metric-contract test checks it against the README table.
 pub const STAGE_HISTOGRAMS: [&str; NUM_STAGES - 1] = [
     "stage_queue_wait_us",
     "stage_batch_wait_us",

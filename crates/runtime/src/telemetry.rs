@@ -11,45 +11,25 @@
 //!
 //! # Metric names
 //!
-//! The names below are the workspace-wide contract: every execution backend
-//! (analytic, sim, realtime, distributed) reports the same names in its
-//! `ScenarioReport::telemetry` section, so dashboards and tests compare like with
-//! like. Histograms flatten to `<name>_p50` / `<name>_p99` / `<name>_count` rows.
-//!
-//! | name | kind | meaning |
-//! |------|------|---------|
-//! | `serve_requests_total` | counter | requests served to completion |
-//! | `serve_requests_shed_total` | counter | requests shed at a full queue |
-//! | `serve_batches_total` | counter | batches closed and served |
-//! | `serve_batch_occupancy` | histogram | requests per closed batch |
-//! | `serve_latency_us` | histogram | per-request submit-to-completion latency |
-//! | `serve_batch_duration_us` | histogram | per-batch serve call duration |
-//! | `serve_queue_depth` | gauge | submitted minus completed (sampled at scrape) |
-//! | `update_rounds_total` | counter | update rounds run by the updater |
-//! | `update_round_duration_us` | histogram | duration of each update block |
-//! | `publications_total` | counter | epoch-swap publications |
-//! | `snapshot_epoch` | gauge | most recently published epoch |
-//! | `epoch_age_us` | gauge | age of the published snapshot (set at scrape) |
-//! | `publish_to_first_serve_us` | histogram | publication-to-adoption lag per worker |
-//! | `requests_per_epoch` | histogram | requests a worker served from one epoch |
-//! | `hot_row_cache_hits_t<i>` | gauge | cumulative cache hits, table `i` (scrape) |
-//! | `hot_row_cache_misses_t<i>` | gauge | cumulative cache misses, table `i` (scrape) |
-//! | `stage_queue_wait_us` | histogram | traced: enqueued → batch closed |
-//! | `stage_batch_wait_us` | histogram | traced: batch closed → serve start |
-//! | `stage_serve_us` | histogram | traced: serve start → serve done |
-//! | `stage_reply_flush_us` | histogram | traced: serve done → reply flushed |
+//! Every execution backend (analytic, sim, realtime, distributed) reports the same
+//! metric names in its `ScenarioReport::telemetry` section, so dashboards and tests
+//! compare like with like. Histograms flatten to `<name>_p50` / `<name>_p99` /
+//! `<name>_count` rows. The one table of those names is the Observability table in
+//! the workspace README (architecture item 8); `tests/metric_contract.rs` checks it
+//! against what a live replica actually registers.
 //!
 //! The four `stage_*_us` histograms are the per-request latency breakdown: they are
 //! fed only by *traced* requests (see
 //! [`RuntimeConfig::trace_sample_rate`](crate::config::RuntimeConfig::trace_sample_rate))
-//! and their names mirror [`liveupdate_obs::span::STAGE_HISTOGRAMS`] — the `analyze`
-//! stage-name rule pins the two lists together.
+//! and are registered from [`liveupdate_obs::span::STAGE_HISTOGRAMS`], the one list
+//! of their names.
 //!
 //! The net tier adds `net_*` series (wakeups, ready events, owed replies, open
 //! connections) through the same registry; see
 //! `liveupdate_net::server`. Completed request spans are collected separately in
 //! [`Telemetry::spans`] and pulled over the wire by `Frame::TraceDump`.
 
+use liveupdate_obs::span::STAGE_HISTOGRAMS;
 use liveupdate_obs::{Counter, Gauge, LogLinearHistogram, MetricsRegistry, SpanRing};
 use std::sync::Arc;
 
@@ -110,12 +90,7 @@ impl Telemetry {
         let registry = Arc::new(MetricsRegistry::new());
         let spans = Arc::new(SpanRing::new(SPAN_CAPACITY));
         Self {
-            stage_us: [
-                registry.histogram("stage_queue_wait_us"),
-                registry.histogram("stage_batch_wait_us"),
-                registry.histogram("stage_serve_us"),
-                registry.histogram("stage_reply_flush_us"),
-            ],
+            stage_us: STAGE_HISTOGRAMS.map(|name| registry.histogram(name)),
             requests_total: registry.counter("serve_requests_total"),
             requests_shed: registry.counter("serve_requests_shed_total"),
             batches_total: registry.counter("serve_batches_total"),
@@ -213,9 +188,8 @@ mod tests {
 
     #[test]
     fn stage_histograms_match_the_obs_stage_family() {
-        // The literal names registered above and the obs-side stage constant must
-        // stay one list; the analyze stage-name rule enforces the doc table, this
-        // test pins the handles.
+        // Each stage handle must feed the histogram named at its index in the
+        // obs-side stage constant.
         let tel = Telemetry::new();
         for (hist, name) in tel
             .stage_us
