@@ -35,8 +35,6 @@ pub struct LiveUpdateConfig {
     pub retention_minutes: f64,
     /// Maximum records retained in the inference-log buffer.
     pub retention_max_records: usize,
-    /// Interval (training steps) between LoRA AllGather synchronisations across nodes.
-    pub sync_interval_steps: usize,
     /// P99 latency above which the CCD scheduler gives a CCD back to inference (ms).
     pub p99_high_threshold_ms: f64,
     /// P99 latency below which the CCD scheduler reclaims a CCD for training (ms).
@@ -70,7 +68,6 @@ impl Default for LiveUpdateConfig {
             hot_fraction: 0.1,
             retention_minutes: 10.0,
             retention_max_records: 100_000,
-            sync_interval_steps: 32,
             p99_high_threshold_ms: 10.0,
             p99_low_threshold_ms: 6.0,
             min_inference_ccds: 4,
@@ -153,11 +150,6 @@ impl LiveUpdateConfig {
         if self.retention_max_records == 0 {
             return Err(ConfigError::NonPositive {
                 field: "liveupdate.retention_max_records",
-            });
-        }
-        if self.sync_interval_steps == 0 {
-            return Err(ConfigError::NonPositive {
-                field: "liveupdate.sync_interval_steps",
             });
         }
         if !(0.0..=1.0).contains(&self.hot_cache_fraction) {
@@ -257,12 +249,6 @@ mod tests {
 
         let c = LiveUpdateConfig {
             retention_minutes: 0.0,
-            ..LiveUpdateConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = LiveUpdateConfig {
-            sync_interval_steps: 0,
             ..LiveUpdateConfig::default()
         };
         assert!(c.validate().is_err());

@@ -48,8 +48,8 @@ pub struct UpdateRoundReport {
     pub loss: f64,
     /// Number of `(table, row)` LoRA updates applied.
     pub rows_updated: usize,
-    /// The distinct `(table, row)` indices touched this round — the support a cluster
-    /// records into [`crate::sync::SparseLoraSync`] for the next sparse synchronisation.
+    /// The distinct `(table, row)` indices touched this round — the support a replica
+    /// contributes to the next sparse synchronisation ([`crate::sync::SparseLoraSync`]).
     pub touched_rows: Vec<(usize, usize)>,
     /// Whether a rank/pruning adaptation was triggered this round.
     pub adapted: bool,

@@ -1,10 +1,10 @@
 //! Typed configuration errors shared across the experiment drivers.
 //!
 //! Every configuration type of the workspace — [`crate::config::LiveUpdateConfig`],
-//! [`crate::experiment::ExperimentConfig`], [`crate::cluster::ClusterConfig`], the
-//! runtime's `RuntimeConfig`, and the scenario layer's `Scenario` — reports invalid
-//! parameters through this one enum instead of ad-hoc `String`s or bare `bool`s, so
-//! callers can match on the *kind* of violation and error text stays uniform.
+//! [`crate::experiment::ExperimentConfig`], the runtime's `RuntimeConfig`, and the
+//! scenario layer's `Scenario` — reports invalid parameters through this one enum instead
+//! of ad-hoc `String`s or bare `bool`s, so callers can match on the *kind* of violation
+//! and error text stays uniform.
 
 use std::error::Error;
 use std::fmt;

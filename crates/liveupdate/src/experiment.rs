@@ -202,8 +202,8 @@ fn train_on(model: &mut DlrmModel, batch: &MiniBatch, batch_size: usize) {
 }
 
 /// Pretrain the Day-1 checkpoint on the warm-up period and return it together with the
-/// workload positioned at the start of the evaluated period. Used by [`crate::cluster`]
-/// and by the scenario layer's real-thread backend so every execution engine starts from
+/// workload positioned at the start of the evaluated period. Used by the scenario
+/// layer's real-thread and distributed backends so every execution engine starts from
 /// the identical checkpoint a single-node analytic run would use.
 pub fn warmed_up_model(cfg: &ExperimentConfig) -> (DlrmModel, SyntheticWorkload) {
     let mut workload = SyntheticWorkload::new(cfg.workload.clone());
@@ -349,10 +349,8 @@ pub fn run_strategy_with_training_delay(
     }
 }
 
-/// Mean AUC (over the windows where it is defined) and mean log loss of a timeline —
-/// the single aggregation rule shared by the strategy runner, the serving cluster and
-/// the single-node baseline loop, so cross-driver accuracy comparisons can never drift.
-pub(crate) fn aggregate_means(timeline: &[TimelinePoint]) -> (f64, f64) {
+/// Mean AUC (over the windows where it is defined) and mean log loss of a timeline.
+fn aggregate_means(timeline: &[TimelinePoint]) -> (f64, f64) {
     let aucs: Vec<f64> = timeline.iter().filter_map(|p| p.auc).collect();
     let mean_auc = if aucs.is_empty() {
         0.0

@@ -17,20 +17,17 @@
 //! * [`scheduler`] — adaptive NUMA/CCD partitioning driven by P99 latency (Algorithm 2).
 //! * [`isolation`] — the cache/bandwidth contention experiments behind Figs. 11 and 16.
 //! * [`sync`] — sparse data-parallel LoRA synchronisation with priority merge (Algorithm 3),
-//!   expressed over the [`sync::LoraPeer`] trait so it applies to live serving nodes.
+//!   expressed over the [`sync::LoraPeer`] trait so it applies to live serving nodes. It
+//!   is the in-process reference of the merge; `liveupdate_net`'s driver runs the same
+//!   plan as frames between TCP replicas.
 //! * [`engine`] — the per-node serving engine combining the inference path and the online
 //!   update path.
 //! * [`snapshot`] — immutable, checksummed serving snapshots: the read-only serve API the
 //!   real multithreaded runtime (`liveupdate_runtime`) publishes via atomic epoch swaps.
-//! * [`replica`] — one serving node under a cluster rank, recording its touched rows into
-//!   the shared sync protocol.
-//! * [`cluster`] — the event-driven multi-replica serving cluster: deterministic request
-//!   routing, per-replica online training, and periodic sparse synchronisation priced
-//!   against the modelled fabric (Fig. 19).
 //! * [`strategy`] — NoUpdate / DeltaUpdate / QuickUpdate / LiveUpdate update strategies and
 //!   their analytic cost models.
 //! * [`error`] — the typed [`ConfigError`] every configuration type in the workspace
-//!   (experiment, cluster, runtime, scenario) validates into.
+//!   (experiment, runtime, scenario) validates into.
 //! * [`experiment`] — end-to-end freshness experiments (accuracy over time, update cost,
 //!   scalability) used by the benchmark harness.
 //!
@@ -60,26 +57,42 @@
 //! assert!(report.rows_updated > 0);
 //! ```
 //!
-//! # Cluster quickstart
+//! # Sync quickstart
 //!
-//! Scaling out is one constructor away: a [`cluster::ServingCluster`] shards the stream
-//! over `N` replicas and keeps their adapters consistent with sparse LoRA syncs.
+//! Replicas that trained on different traffic agree again after one sparse
+//! synchronisation: the priority merge of Algorithm 3 ships only the rows some replica
+//! touched, plus each touched table's `B` factor.
 //!
 //! ```
-//! use liveupdate::cluster::{ClusterConfig, ServingCluster};
+//! use liveupdate::config::LiveUpdateConfig;
+//! use liveupdate::engine::ServingNode;
+//! use liveupdate::sync::SparseLoraSync;
+//! use liveupdate_dlrm::model::{DlrmConfig, DlrmModel};
+//! use liveupdate_workload::{SyntheticWorkload, WorkloadConfig};
 //!
-//! let mut cfg = ClusterConfig::small(2); // 2 replicas, hash-by-user routing
-//! cfg.experiment.duration_minutes = 20.0; // 2 ten-minute windows
-//! cfg.experiment.online_rounds_per_window = 2;
+//! let model = DlrmModel::new(DlrmConfig::tiny(2, 200, 8), 7);
+//! let mut workload = SyntheticWorkload::new(WorkloadConfig {
+//!     num_tables: 2,
+//!     table_size: 200,
+//!     ..WorkloadConfig::default()
+//! });
+//! let mut nodes = vec![ServingNode::new(model, LiveUpdateConfig::default()); 2];
+//! let mut sync = SparseLoraSync::new(nodes.len());
+//! for (rank, node) in nodes.iter_mut().enumerate() {
+//!     node.serve_batch(0.0, &workload.batch_at(0.0, 64));
+//!     for (table, row) in node.online_update_round(5.0, 32).touched_rows {
+//!         sync.record_update(rank, table, row);
+//!     }
+//! }
 //!
-//! let summary = ServingCluster::new(cfg).run();
-//! assert_eq!(summary.num_replicas, 2);
-//! assert_eq!(summary.timeline.len(), 2);
-//! assert_eq!(summary.ledger.syncs, 2); // one sparse sync per window
-//! assert!(summary.sync_reports[0].indices_exchanged > 0);
+//! let (report, plan) = sync.synchronize_peers(&mut nodes);
+//! assert!(report.indices_exchanged > 0);
+//! for m in &plan {
+//!     let row = |node: &ServingNode| node.export_lora_row(m.table, m.row);
+//!     assert_eq!(row(&nodes[0]), row(&nodes[1]));
+//! }
 //! ```
 
-pub mod cluster;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -89,19 +102,16 @@ pub mod isolation;
 pub mod lora;
 pub mod pruning;
 pub mod rank_adapt;
-pub mod replica;
 pub mod scheduler;
 pub mod snapshot;
 pub mod strategy;
 pub mod sync;
 pub mod trainer;
 
-pub use cluster::{ClusterConfig, ClusterRunSummary, ServingCluster};
 pub use config::LiveUpdateConfig;
 pub use engine::ServingNode;
 pub use error::ConfigError;
 pub use lora::LoraTable;
-pub use replica::Replica;
 pub use snapshot::{HotRowCache, ServingSnapshot};
 pub use strategy::StrategyKind;
 pub use sync::SparseLoraSync;

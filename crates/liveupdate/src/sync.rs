@@ -11,16 +11,16 @@
 //! interval), every rank serves bit-identical corrections on the exchanged support. Peers
 //! whose local rank has drifted apart resize imports to their own rank (truncate/pad), so
 //! they converge only on the leading `min(rank)` components until the next full sync. The
-//! payload is tiny either way, and its transfer cost over the cluster fabric is what
-//! Fig. 19 measures.
+//! payload is tiny either way, and its transfer cost is what Fig. 19 measures: a
+//! [`SyncReport`]'s `bytes_per_rank` is what `liveupdate_sim`'s `CollectiveModel` prices.
 //!
 //! The merge is expressed against the [`LoraPeer`] trait so the same protocol drives both
-//! bare `Vec<LoraTable>` replicas (unit tests, analytic sweeps) and full
-//! [`crate::engine::ServingNode`]s inside a [`crate::cluster::ServingCluster`], where
-//! imports also rematerialise the serving rows.
+//! bare `Vec<LoraTable>` replicas (unit tests) and full [`crate::engine::ServingNode`]s,
+//! where imports also rematerialise the serving rows. This in-process merge is the
+//! reference the socket driver (`liveupdate_net::driver`) is tested against: it runs the
+//! same [`SparseLoraSync::merge_plan`] as frames between replica servers.
 
 use crate::lora::LoraTable;
-use liveupdate_sim::collective::CollectiveModel;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -82,15 +82,12 @@ impl LoraPeer for Vec<LoraTable> {
     }
 }
 
-/// Tracks per-rank modified-index sets and performs the periodic priority merge.
+/// Tracks per-rank modified-index sets and performs the priority merge.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SparseLoraSync {
     num_ranks: usize,
-    sync_interval_steps: usize,
     /// `modified[rank]` = set of `(table, row)` indices modified since the last sync.
     modified: Vec<BTreeSet<(usize, usize)>>,
-    step: u64,
-    syncs_performed: u64,
 }
 
 /// Outcome of one synchronisation event.
@@ -98,29 +95,23 @@ pub struct SparseLoraSync {
 pub struct SyncReport {
     /// Number of distinct `(table, row)` indices exchanged.
     pub indices_exchanged: usize,
-    /// Payload bytes per rank (active `A` rows, `f64` storage).
+    /// Payload bytes per rank (active `A` rows plus broadcast `B` factors, `f64`
+    /// storage).
     pub bytes_per_rank: u64,
-    /// Wall-clock seconds of the AllGather under the supplied collective model.
-    pub allgather_seconds: f64,
 }
 
 impl SparseLoraSync {
-    /// Create the protocol state for `num_ranks` replicas syncing every
-    /// `sync_interval_steps` training steps.
+    /// Create the protocol state for `num_ranks` replicas.
     ///
     /// # Panics
     ///
-    /// Panics if `num_ranks == 0` or `sync_interval_steps == 0`.
+    /// Panics if `num_ranks == 0`.
     #[must_use]
-    pub fn new(num_ranks: usize, sync_interval_steps: usize) -> Self {
+    pub fn new(num_ranks: usize) -> Self {
         assert!(num_ranks > 0, "at least one rank is required");
-        assert!(sync_interval_steps > 0, "sync interval must be positive");
         Self {
             num_ranks,
-            sync_interval_steps,
             modified: vec![BTreeSet::new(); num_ranks],
-            step: 0,
-            syncs_performed: 0,
         }
     }
 
@@ -128,12 +119,6 @@ impl SparseLoraSync {
     #[must_use]
     pub fn num_ranks(&self) -> usize {
         self.num_ranks
-    }
-
-    /// Number of synchronisations performed so far.
-    #[must_use]
-    pub fn syncs_performed(&self) -> u64 {
-        self.syncs_performed
     }
 
     /// Record that `rank` modified `row` of `table` (Algorithm 3 line 7).
@@ -150,13 +135,6 @@ impl SparseLoraSync {
     #[must_use]
     pub fn pending(&self, rank: usize) -> usize {
         self.modified[rank].len()
-    }
-
-    /// Advance the step counter; returns `true` when this step is a synchronisation point
-    /// (Algorithm 3 line 8).
-    pub fn tick(&mut self) -> bool {
-        self.step += 1;
-        self.step.is_multiple_of(self.sync_interval_steps as u64)
     }
 
     /// The global union of modified indices, `I_all` (Algorithm 3 line 9).
@@ -201,18 +179,13 @@ impl SparseLoraSync {
     }
 
     /// Perform the priority merge over per-rank LoRA replicas (`replicas[rank][table]`) and
-    /// broadcast the merged rows back to every rank (Algorithm 3 lines 9–12). Returns a
-    /// report including the estimated AllGather cost under `collective`.
+    /// broadcast the merged rows back to every rank (Algorithm 3 lines 9–12).
     ///
     /// # Panics
     ///
     /// Panics if the replica structure does not match `num_ranks`.
-    pub fn synchronize(
-        &mut self,
-        replicas: &mut [Vec<LoraTable>],
-        collective: &CollectiveModel,
-    ) -> SyncReport {
-        self.synchronize_peers(replicas, collective).0
+    pub fn synchronize(&mut self, replicas: &mut [Vec<LoraTable>]) -> SyncReport {
+        self.synchronize_peers(replicas).0
     }
 
     /// The generic form of [`Self::synchronize`]: apply the priority merge to any slice of
@@ -230,7 +203,6 @@ impl SparseLoraSync {
     pub fn synchronize_peers<P: LoraPeer>(
         &mut self,
         peers: &mut [P],
-        collective: &CollectiveModel,
     ) -> (SyncReport, Vec<MergeAssignment>) {
         assert_eq!(peers.len(), self.num_ranks, "one peer per rank is required");
         let plan = self.merge_plan();
@@ -263,15 +235,12 @@ impl SparseLoraSync {
         }
         let bytes_per_rank =
             (plan.len() * max_row_len.max(1) * std::mem::size_of::<f64>() + b_bytes) as u64;
-        let allgather_seconds = collective.allgather_seconds(self.num_ranks, bytes_per_rank);
         for set in &mut self.modified {
             set.clear();
         }
-        self.syncs_performed += 1;
         let report = SyncReport {
             indices_exchanged: plan.len(),
             bytes_per_rank,
-            allgather_seconds,
         };
         (report, plan)
     }
@@ -280,7 +249,7 @@ impl SparseLoraSync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liveupdate_sim::collective::CollectiveAlgorithm;
+    use liveupdate_sim::collective::{CollectiveAlgorithm, CollectiveModel};
     use liveupdate_sim::network::NetworkLink;
     use proptest::prelude::*;
 
@@ -300,21 +269,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one rank")]
     fn zero_ranks_rejected() {
-        let _ = SparseLoraSync::new(0, 8);
-    }
-
-    #[test]
-    fn tick_fires_on_interval() {
-        let mut s = SparseLoraSync::new(2, 3);
-        assert!(!s.tick());
-        assert!(!s.tick());
-        assert!(s.tick());
-        assert!(!s.tick());
+        let _ = SparseLoraSync::new(0);
     }
 
     #[test]
     fn record_and_union() {
-        let mut s = SparseLoraSync::new(3, 8);
+        let mut s = SparseLoraSync::new(3);
         s.record_update(0, 0, 5);
         s.record_update(1, 0, 5);
         s.record_update(2, 0, 9);
@@ -324,20 +284,19 @@ mod tests {
 
     #[test]
     fn priority_merge_prefers_highest_rank() {
-        let mut s = SparseLoraSync::new(3, 8);
+        let mut s = SparseLoraSync::new(3);
         let mut reps = replicas(3);
         // Ranks 0 and 2 both modify row 7 of table 0 with different values.
         reps[0][0].set_a_row(7, vec![1.0, 1.0]);
         reps[2][0].set_a_row(7, vec![9.0, 9.0]);
         s.record_update(0, 0, 7);
         s.record_update(2, 0, 7);
-        let report = s.synchronize(&mut reps, &collective());
+        let report = s.synchronize(&mut reps);
         assert_eq!(report.indices_exchanged, 1);
         // Every rank must now carry rank 2's value (the highest rank wins).
         for rep in &reps {
             assert_eq!(rep[0].a_row(7).unwrap(), &[9.0, 9.0]);
         }
-        assert_eq!(s.syncs_performed(), 1);
         // Modified sets are reset after a sync.
         assert_eq!(s.pending(0), 0);
         assert_eq!(s.pending(2), 0);
@@ -345,44 +304,43 @@ mod tests {
 
     #[test]
     fn merge_broadcasts_disjoint_updates_to_everyone() {
-        let mut s = SparseLoraSync::new(2, 8);
+        let mut s = SparseLoraSync::new(2);
         let mut reps = replicas(2);
         reps[0][0].set_a_row(1, vec![1.0, 0.0]);
         reps[1][0].set_a_row(2, vec![0.0, 2.0]);
         s.record_update(0, 0, 1);
         s.record_update(1, 0, 2);
-        let report = s.synchronize(&mut reps, &collective());
+        let report = s.synchronize(&mut reps);
         assert_eq!(report.indices_exchanged, 2);
         assert_eq!(reps[1][0].a_row(1).unwrap(), &[1.0, 0.0]);
         assert_eq!(reps[0][0].a_row(2).unwrap(), &[0.0, 2.0]);
         assert!(report.bytes_per_rank > 0);
-        assert!(report.allgather_seconds > 0.0);
     }
 
     #[test]
     fn rank_mismatch_resizes_rows() {
-        let mut s = SparseLoraSync::new(2, 8);
+        let mut s = SparseLoraSync::new(2);
         let mut reps = replicas(2);
         // Rank 1's replica adapted to a smaller rank.
         reps[1][0].resize_rank(1);
         reps[0][0].set_a_row(4, vec![3.0, 4.0]);
         s.record_update(0, 0, 4);
-        let _ = s.synchronize(&mut reps, &collective());
+        let _ = s.synchronize(&mut reps);
         assert_eq!(reps[1][0].a_row(4).unwrap(), &[3.0]);
     }
 
     #[test]
     fn empty_sync_costs_nothing_to_exchange() {
-        let mut s = SparseLoraSync::new(4, 8);
+        let mut s = SparseLoraSync::new(4);
         let mut reps = replicas(4);
-        let report = s.synchronize(&mut reps, &collective());
+        let report = s.synchronize(&mut reps);
         assert_eq!(report.indices_exchanged, 0);
         assert_eq!(report.bytes_per_rank, 0);
     }
 
     #[test]
     fn merge_plan_matches_priority_rule_and_table_winners() {
-        let mut s = SparseLoraSync::new(3, 8);
+        let mut s = SparseLoraSync::new(3);
         s.record_update(0, 0, 7);
         s.record_update(2, 0, 7);
         s.record_update(1, 1, 3);
@@ -407,23 +365,19 @@ mod tests {
 
     #[test]
     fn sync_broadcasts_b_factor_from_priority_root() {
-        let mut s = SparseLoraSync::new(2, 8);
+        let mut s = SparseLoraSync::new(2);
         // Different seeds ⇒ the two replicas start with different B factors.
         let mut reps = replicas(2);
         assert_ne!(reps[0][0].b(), reps[1][0].b());
         reps[1][0].set_a_row(3, vec![2.0, -1.0]);
         s.record_update(1, 0, 3);
-        let report = s.synchronize(&mut reps, &collective());
+        let report = s.synchronize(&mut reps);
         // Rank 1 is the table winner; rank 0 now carries its B and its A row, so the
         // represented deltas agree on the exchanged support.
         assert_eq!(reps[0][0].b(), reps[1][0].b());
         assert_eq!(reps[0][0].delta_row(3), reps[1][0].delta_row(3));
         // Payload = 1 A row of rank 2 plus one 2×4 B factor, in f64.
         assert_eq!(report.bytes_per_rank, ((2 + 2 * 4) * 8) as u64);
-        assert_eq!(
-            report.allgather_seconds,
-            collective().allgather_seconds(2, report.bytes_per_rank)
-        );
     }
 
     /// Deterministically fill per-rank replicas with `A`-row values derived from the
@@ -433,14 +387,14 @@ mod tests {
         updates: &[(usize, usize)], // (rank, row) on table 0
         order: &[usize],
     ) -> (Vec<Vec<LoraTable>>, SyncReport) {
-        let mut s = SparseLoraSync::new(num_ranks, 8);
+        let mut s = SparseLoraSync::new(num_ranks);
         let mut reps = replicas(num_ranks);
         for &i in order {
             let (rank, row) = updates[i];
             reps[rank][0].set_a_row(row, vec![(rank * 100 + row) as f64, row as f64]);
             s.record_update(rank, 0, row);
         }
-        let report = s.synchronize(&mut reps, &collective());
+        let report = s.synchronize(&mut reps);
         (reps, report)
     }
 
@@ -488,7 +442,7 @@ mod tests {
             updates in proptest::collection::vec((0usize..4, 0usize..50), 1..30),
         ) {
             let order: Vec<usize> = (0..updates.len()).collect();
-            let mut s = SparseLoraSync::new(4, 8);
+            let mut s = SparseLoraSync::new(4);
             let mut reps = replicas(4);
             for &i in &order {
                 let (rank, row) = updates[i];
@@ -496,7 +450,7 @@ mod tests {
                 s.record_update(rank, 0, row);
             }
             let support = s.global_modified();
-            s.synchronize(&mut reps, &collective());
+            s.synchronize(&mut reps);
             for &(table, row) in &support {
                 let reference_a = reps[0][table].a_row(row).unwrap().to_vec();
                 let reference_delta = reps[0][table].delta_row(row);
@@ -515,7 +469,7 @@ mod tests {
         ) {
             let order: Vec<usize> = (0..updates.len()).collect();
             let (mut reps, first) = run_merge(4, &updates, &order);
-            let mut s = SparseLoraSync::new(4, 8);
+            let mut s = SparseLoraSync::new(4);
             // Every rank re-records the merged support (values are now identical
             // everywhere, so the winner's value equals every loser's value).
             let support: Vec<(usize, usize)> = updates.iter().map(|&(_, row)| (0usize, row)).collect();
@@ -525,7 +479,7 @@ mod tests {
                 }
             }
             let snapshot = reps.clone();
-            let second = s.synchronize(&mut reps, &collective());
+            let second = s.synchronize(&mut reps);
             prop_assert_eq!(reps, snapshot);
             prop_assert_eq!(second.indices_exchanged, first.indices_exchanged);
         }
@@ -533,10 +487,10 @@ mod tests {
 
     #[test]
     fn sync_cost_grows_sublinearly_with_ranks() {
-        // The same per-rank payload over more ranks: tree AllGather cost grows, but far
-        // slower than linearly (Fig. 19's shape).
+        // The same per-rank payload over more ranks, priced by the collective model:
+        // tree AllGather cost grows, but far slower than linearly (Fig. 19's shape).
         let cost = |n: usize| {
-            let mut s = SparseLoraSync::new(n, 8);
+            let mut s = SparseLoraSync::new(n);
             let mut reps = replicas(n);
             for (r, rep) in reps.iter_mut().enumerate() {
                 for row in 0..20 {
@@ -544,7 +498,8 @@ mod tests {
                     s.record_update(r, 0, row);
                 }
             }
-            s.synchronize(&mut reps, &collective()).allgather_seconds
+            let report = s.synchronize(&mut reps);
+            collective().allgather_seconds(n, report.bytes_per_rank)
         };
         let c4 = cost(4);
         let c16 = cost(16);

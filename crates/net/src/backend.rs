@@ -1,8 +1,8 @@
-//! The fourth execution engine: scenarios on real localhost TCP sockets.
+//! The multi-replica execution engine: scenarios on real localhost TCP sockets.
 //!
 //! [`DistributedBackend`] implements [`ExecutionBackend`], so every
-//! `scenarios/*.json` that runs on the analytic, discrete-event, and real-thread
-//! engines runs here unchanged — except that `topology.replicas` now means real
+//! `scenarios/*.json` that runs on the analytic and real-thread engines runs here
+//! unchanged — except that `topology.replicas` now means real
 //! [`ReplicaServer`](crate::server::ReplicaServer)s behind TCP listeners (each served
 //! by its epoll event-loop thread, with the driver's data plane pipelining one
 //! connection per replica through [`MultiConnClient`](crate::client::MultiConnClient)),

@@ -783,7 +783,7 @@ fn run_sync_loop(
 fn sparse_lora_sync_tick(conns: &mut [ControlConn]) -> u64 {
     let before: u64 = conns.iter().map(|c| c.bytes).sum();
     let num_ranks = conns.len();
-    let mut sync = SparseLoraSync::new(num_ranks, 1);
+    let mut sync = SparseLoraSync::new(num_ranks);
     for (rank, conn) in conns.iter_mut().enumerate() {
         match conn.call(&Frame::PullSupport) {
             Ok(Frame::Support { rows }) => {
@@ -904,4 +904,122 @@ fn quick_rows_tick(
         let _ = conn.call(&Frame::PushEmbeddingRows { rows: rows.clone() });
     }
     conns.iter().map(|c| c.bytes).sum::<u64>() - before
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use liveupdate::config::LiveUpdateConfig;
+    use liveupdate_dlrm::model::DlrmConfig;
+    use liveupdate_runtime::config::UpdateMode;
+    use liveupdate_workload::WorkloadConfig;
+
+    /// The socket sync and the in-process merge are two implementations of Algorithm 3.
+    /// Run on identical replicas, they must leave bit-identical state on the merged
+    /// support: `A` rows, `B` factors, serving rows and predictions.
+    #[test]
+    fn wire_sync_matches_the_in_process_merge_bit_for_bit() {
+        let model = DlrmModel::new(DlrmConfig::tiny(2, 200, 8), 41);
+        let mut workload = SyntheticWorkload::new(WorkloadConfig {
+            num_tables: 2,
+            table_size: 200,
+            ..WorkloadConfig::default()
+        });
+        // Three replicas from one checkpoint, each trained on its own shard. A few
+        // rounds stay far below the rank-adaptation interval, so the ranks agree and
+        // the merge can make the replicas exactly equal on the support.
+        let nodes: Vec<ServingNode> = (0..3)
+            .map(|_| {
+                let mut node = ServingNode::new(model.clone(), LiveUpdateConfig::default());
+                node.serve_batch(0.0, &workload.batch_at(0.0, 96));
+                for round in 0..3 {
+                    node.online_update_round(1.0 + f64::from(round), 32);
+                }
+                node
+            })
+            .collect();
+        let ranks = nodes[0].current_ranks();
+        assert!(nodes.iter().all(|n| n.current_ranks() == ranks));
+        let mut reference = nodes.clone();
+
+        // The wire: one update-disabled replica server per node, one sync tick.
+        let runtime = RuntimeConfig {
+            num_workers: 1,
+            update: UpdateMode::Disabled,
+            ..RuntimeConfig::default()
+        };
+        let servers: Vec<ReplicaServer> = nodes
+            .into_iter()
+            .map(|node| {
+                ReplicaServer::start(node, runtime.clone(), Duration::from_millis(50), None)
+                    .expect("start replica")
+            })
+            .collect();
+        let mut conns: Vec<ControlConn> = servers
+            .iter()
+            .map(|server| ControlConn {
+                stream: TcpStream::connect(server.addr()).expect("connect"),
+                bytes: 0,
+            })
+            .collect();
+        let mut sync = SparseLoraSync::new(conns.len());
+        for (rank, conn) in conns.iter_mut().enumerate() {
+            let Ok(Frame::Support { rows }) = conn.call(&Frame::PullSupport) else {
+                panic!("replica {rank} did not report its support");
+            };
+            for (table, row) in rows {
+                sync.record_update(rank, table as usize, row as usize);
+            }
+        }
+        assert!(sparse_lora_sync_tick(&mut conns) > 0);
+        for conn in &mut conns {
+            let _ = write_frame(&mut conn.stream, &Frame::Bye);
+        }
+        drop(conns);
+        let synced: Vec<ServingNode> = servers.into_iter().map(|s| s.shutdown().1).collect();
+
+        // The reference: the in-process merge over the support the servers reported.
+        let (_, plan) = sync.synchronize_peers(&mut reference);
+        assert!(
+            !plan.is_empty(),
+            "the replicas trained, so the plan is not empty"
+        );
+
+        let mut probe_ids: Vec<Vec<usize>> = vec![Vec::new(); 2];
+        for m in &plan {
+            let (table, row) = (m.table, m.row);
+            let a_row = synced[0].export_lora_row(table, row);
+            let serving_row = synced[0].serving_model().table(table).row(row).to_vec();
+            for (rank, (wire, reference)) in synced.iter().zip(&reference).enumerate() {
+                for node in [wire, reference] {
+                    assert_eq!(
+                        node.export_lora_row(table, row),
+                        a_row,
+                        "A row {m:?} on rank {rank}"
+                    );
+                    assert_eq!(
+                        node.serving_model().table(table).row(row),
+                        &serving_row[..],
+                        "serving row {m:?} on rank {rank}"
+                    );
+                }
+            }
+            if probe_ids[table].len() < 2 {
+                probe_ids[table].push(row);
+            }
+        }
+        for table in 0..2 {
+            let b = synced[0].loras()[table].b();
+            for node in synced.iter().chain(&reference) {
+                assert_eq!(node.loras()[table].b(), b, "B factor of table {table}");
+            }
+        }
+
+        // A request that touches only merged rows gets one prediction everywhere.
+        let probe = Sample::new(vec![0.25, -0.5], probe_ids, 0.0);
+        let prediction = synced[0].predict(&probe).to_bits();
+        for node in synced.iter().chain(&reference) {
+            assert_eq!(node.predict(&probe).to_bits(), prediction);
+        }
+    }
 }

@@ -44,7 +44,7 @@
 //!   load, execute the strategy's update traffic as real frames, and measure every byte
 //!   at the socket. [`driver::scrape_replica`] makes the monitoring round-trip a
 //!   one-liner: connect, send `Stats`, return the replica's flattened live telemetry.
-//! * [`backend`] — [`backend::DistributedBackend`], the fourth
+//! * [`backend`] — [`backend::DistributedBackend`], the multi-replica
 //!   [`ExecutionBackend`](liveupdate_scenario::ExecutionBackend): every
 //!   `scenarios/*.json` runs on sockets unchanged and reports into the same
 //!   [`ScenarioReport`](liveupdate_scenario::ScenarioReport) schema with

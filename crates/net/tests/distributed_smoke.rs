@@ -473,7 +473,11 @@ fn run_distributed_answers_every_offered_request() {
 
 #[test]
 fn invalid_scenario_is_rejected_before_any_socket_opens() {
-    let mut scenario = tiny_scenario("bad");
-    scenario.topology.workers = 0;
-    assert!(DistributedBackend.run(&scenario).is_err());
+    let mut no_workers = tiny_scenario("bad");
+    no_workers.topology.workers = 0;
+    assert!(DistributedBackend.run(&no_workers).is_err());
+    // Zero replicas is a typed error, never a panic in the request router.
+    let mut no_replicas = tiny_scenario("bad");
+    no_replicas.topology.replicas = 0;
+    assert!(DistributedBackend.run(&no_replicas).is_err());
 }

@@ -1,11 +1,10 @@
 //! # liveupdate_runtime — the real multithreaded serving runtime
 //!
-//! Everything below `liveupdate::cluster` simulates serving on a discrete-event queue;
-//! nothing ever runs concurrently, so the paper's central claim — inference-side LoRA
-//! updates add *near-zero overhead* to the serving path — was untested against real
-//! contention. This crate makes the claim measurable: a `std::thread`-based runtime that
-//! serves real request streams with wall-clock latencies while a co-located trainer
-//! updates the model live.
+//! `liveupdate::engine::ServingNode` serves and trains on one thread, so on its own it
+//! cannot test the paper's central claim — inference-side LoRA updates add *near-zero
+//! overhead* to the serving path — against real contention. This crate makes the claim
+//! measurable: a `std::thread`-based runtime that serves real request streams with
+//! wall-clock latencies while a co-located trainer updates the model live.
 //!
 //! ## Architecture (paper Fig. 7, made concrete)
 //!

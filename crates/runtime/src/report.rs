@@ -164,7 +164,7 @@ pub struct StageLatency {
 /// Extract the per-stage latency breakdown from flattened telemetry rows — the shared
 /// reader for `RuntimeReport`, `DistributedReport`, and `ScenarioReport`, all of which
 /// carry the same `stage_*_us_{p50,p99,count}` row names (scraped live on the
-/// realtime/distributed backends, synthesized by the analytic/sim engines). Stages
+/// realtime/distributed backends, synthesized by the analytic engine). Stages
 /// with no recorded samples are omitted.
 #[must_use]
 pub fn stage_breakdown(rows: &[(String, f64)]) -> Vec<StageLatency> {

@@ -300,15 +300,24 @@ impl ServingRuntime {
             .set(i64::try_from(submitted.saturating_sub(completed)).unwrap_or(i64::MAX));
         let (_, snapshot) = self.publisher.load();
         let hot = snapshot.hot_rows();
-        for t in 0..hot.stats_tables() {
+        if hot.stats_tables() == 0 {
+            return;
+        }
+        let gauges = tel.hot_row_cache.get_or_init(|| {
+            (0..hot.stats_tables())
+                .map(|t| {
+                    [
+                        tel.registry.gauge(&format!("hot_row_cache_hits_t{t}")),
+                        tel.registry.gauge(&format!("hot_row_cache_misses_t{t}")),
+                    ]
+                })
+                .collect()
+        });
+        for (t, [hits_gauge, misses_gauge]) in gauges.iter().enumerate() {
             if let Some(stats) = hot.table_stats(t) {
                 let (hits, misses) = stats.get();
-                tel.registry
-                    .gauge(&format!("hot_row_cache_hits_t{t}"))
-                    .set(i64::try_from(hits).unwrap_or(i64::MAX));
-                tel.registry
-                    .gauge(&format!("hot_row_cache_misses_t{t}"))
-                    .set(i64::try_from(misses).unwrap_or(i64::MAX));
+                hits_gauge.set(i64::try_from(hits).unwrap_or(i64::MAX));
+                misses_gauge.set(i64::try_from(misses).unwrap_or(i64::MAX));
             }
         }
     }

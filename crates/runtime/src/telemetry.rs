@@ -11,7 +11,7 @@
 //!
 //! # Metric names
 //!
-//! Every execution backend (analytic, sim, realtime, distributed) reports the same
+//! Every execution backend (analytic, realtime, distributed) reports the same
 //! metric names in its `ScenarioReport::telemetry` section, so dashboards and tests
 //! compare like with like. Histograms flatten to `<name>_p50` / `<name>_p99` /
 //! `<name>_count` rows. The one table of those names is the Observability table in
@@ -31,7 +31,7 @@
 
 use liveupdate_obs::span::STAGE_HISTOGRAMS;
 use liveupdate_obs::{Counter, Gauge, LogLinearHistogram, MetricsRegistry, SpanRing};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default span-ring capacity: the most recent sampled request spans held for the
 /// next trace dump; overwrite-oldest beyond this.
@@ -81,6 +81,10 @@ pub struct Telemetry {
     pub publish_to_first_serve_us: Arc<LogLinearHistogram>,
     /// `requests_per_epoch`.
     pub requests_per_epoch: Arc<LogLinearHistogram>,
+    /// `[hot_row_cache_hits_t<i>, hot_row_cache_misses_t<i>]` per table, registered by
+    /// the first scrape whose snapshot carries a hot-row cache (the table count is not
+    /// known before then), so later scrapes neither format names nor lock the registry.
+    pub hot_row_cache: OnceLock<Vec<[Arc<Gauge>; 2]>>,
 }
 
 impl Telemetry {
@@ -105,6 +109,7 @@ impl Telemetry {
             epoch_age_us: registry.gauge("epoch_age_us"),
             publish_to_first_serve_us: registry.histogram("publish_to_first_serve_us"),
             requests_per_epoch: registry.histogram("requests_per_epoch"),
+            hot_row_cache: OnceLock::new(),
             registry,
             spans,
         }

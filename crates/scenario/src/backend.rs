@@ -1,22 +1,21 @@
-//! The execution backends: one [`Scenario`], three engines.
+//! The execution backends: one [`Scenario`], several engines.
 //!
-//! [`ExecutionBackend`] is the seam the API redesign introduces: every engine consumes
-//! the *same* scenario description and produces the *same* [`ScenarioReport`], so the
-//! paper's strategies can finally be compared across modelling fidelities —
+//! [`ExecutionBackend`] is the seam every engine implements: each consumes the *same*
+//! scenario description and produces the *same* [`ScenarioReport`], so the paper's
+//! strategies can be compared across modelling fidelities —
 //!
 //! * [`AnalyticBackend`] — the windowed prequential timeline of
 //!   [`liveupdate::experiment`] (fast, single-node, no queueing);
-//! * [`SimBackend`] — the discrete-event multi-replica cluster of
-//!   [`liveupdate::cluster`] with measured sparse-sync traffic;
 //! * [`RealtimeBackend`] — the `std::thread` runtime of [`liveupdate_runtime`] under
 //!   open-loop Poisson load, with the scenario's strategy mounted as an
 //!   [`UpdatePolicy`](liveupdate_runtime::policy::UpdatePolicy) on the updater thread —
-//!   the first real-contention measurement of QuickUpdate and DeltaUpdate cadences.
+//!   the real-contention measurement of QuickUpdate and DeltaUpdate cadences.
 //!
-//! Adding a fourth engine means implementing this one trait; nothing about scenarios,
+//! Adding an engine means implementing this one trait; nothing about scenarios,
 //! reports, or the comparison driver changes. The `liveupdate_net` crate does exactly
 //! that: its `DistributedBackend` runs the same scenarios over real localhost TCP
-//! sockets (N replica servers, wire-measured sync traffic).
+//! sockets (N replica servers, wire-measured sync traffic), and it is the one engine
+//! that runs `topology.replicas` replicas.
 
 use crate::report::{BackendKind, ScenarioReport, SyncProvenance};
 use crate::scenario::Scenario;
@@ -24,7 +23,6 @@ use liveupdate::error::ConfigError;
 use liveupdate::experiment::{run_strategy_with_training_delay, warmed_up_model};
 use liveupdate::strategy::cost::UpdateCostModel;
 use liveupdate::strategy::StrategyKind;
-use liveupdate::ServingCluster;
 use liveupdate_runtime::config::UpdateMode;
 use liveupdate_runtime::loadgen::{run_open_loop, LoadGenConfig};
 use liveupdate_runtime::policy::policy_for_strategy;
@@ -51,14 +49,10 @@ pub trait ExecutionBackend {
     fn run(&self, scenario: &Scenario) -> Result<ScenarioReport, ConfigError>;
 }
 
-/// All three engines, in fidelity order.
+/// The in-process engines, in fidelity order.
 #[must_use]
 pub fn all_backends() -> Vec<Box<dyn ExecutionBackend>> {
-    vec![
-        Box::new(AnalyticBackend),
-        Box::new(SimBackend),
-        Box::new(RealtimeBackend),
-    ]
+    vec![Box::new(AnalyticBackend), Box::new(RealtimeBackend)]
 }
 
 /// The analytic per-hour cost of the scenario's strategy at its configured cadence,
@@ -130,65 +124,6 @@ impl ExecutionBackend for AnalyticBackend {
             (fraction * base_bytes as f64) as u64
         });
         report.timeline = result.timeline;
-        report.synthesize_telemetry();
-        Ok(report)
-    }
-}
-
-/// The discrete-event multi-replica cluster: wraps [`liveupdate::cluster::ServingCluster`].
-///
-/// Strategies that train locally run the full event-driven cluster (per-replica LoRA
-/// training, sparse syncs priced against the modelled fabric). Strategies that only pull
-/// parameters from the training cluster (`NoUpdate` / `DeltaUpdate` / `QuickUpdate`)
-/// have **no replica-local state**: every replica receives the identical pull, so the
-/// N-replica discrete-event run reduces exactly to the analytic timeline — the backend
-/// runs that reduction and attaches the analytic transfer traffic, rather than
-/// pretending to simulate divergence that cannot occur.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimBackend;
-
-impl ExecutionBackend for SimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sim
-    }
-
-    fn run(&self, scenario: &Scenario) -> Result<ScenarioReport, ConfigError> {
-        scenario.validate()?;
-        let strategy = scenario.policy.strategy;
-        let (cost_minutes, analytic_bytes) = analytic_cost(scenario);
-        let mut report = ScenarioReport::new(&scenario.name, self.kind(), &strategy.name());
-        report.update_cost_minutes_per_hour = cost_minutes;
-
-        if strategy.trains_locally() {
-            let summary = ServingCluster::new(scenario.cluster_config()).run();
-            let windows = summary.timeline.len() as u64;
-            report.mean_auc = Some(summary.mean_auc);
-            report.mean_logloss = Some(summary.mean_logloss);
-            report.requests_served = summary.requests_served;
-            report.update_events = windows
-                * scenario.policy.online_rounds_per_window as u64
-                * scenario.topology.replicas as u64;
-            report.publications = summary.sync_reports.len() as u64;
-            // Local training ships no parameters; the measured fabric traffic is the
-            // sparse LoRA exchange, reported under its own field.
-            report.sync_bytes = 0;
-            report.lora_sync_bytes = summary.ledger.total_bytes_per_rank;
-            report.sync_provenance = SyncProvenance::SimulatedFabric;
-            report.lora_memory_bytes =
-                Some(summary.final_lora_memory_bytes.iter().sum::<usize>() as u64);
-            report.timeline = summary.timeline;
-        } else {
-            let exp = scenario.experiment_config();
-            let result = run_strategy_with_training_delay(&exp, strategy, 0.0);
-            let windows = result.timeline.len() as u64;
-            report.mean_auc = Some(result.mean_auc);
-            report.mean_logloss = Some(result.mean_logloss);
-            report.requests_served = windows * scenario.horizon.requests_per_window as u64;
-            report.update_events = analytic_update_events(scenario);
-            report.sync_bytes = analytic_bytes;
-            report.sync_provenance = SyncProvenance::AnalyticModel;
-            report.timeline = result.timeline;
-        }
         report.synthesize_telemetry();
         Ok(report)
     }
@@ -336,47 +271,19 @@ mod tests {
     }
 
     #[test]
-    fn sim_backend_runs_the_event_cluster_for_liveupdate() {
-        let r = SimBackend.run(&tiny()).unwrap();
-        assert_eq!(r.backend, BackendKind::Sim);
-        assert_eq!(r.timeline.len(), 2);
-        assert!(r.publications > 0, "sparse syncs happened");
-        assert_eq!(r.sync_bytes, 0, "LiveUpdate ships no parameters");
-        assert!(
-            r.lora_sync_bytes > 0,
-            "sim measures the AllGather LoRA traffic"
-        );
-        assert_eq!(r.sync_provenance, SyncProvenance::SimulatedFabric);
-        assert!(
-            r.telemetry
-                .iter()
-                .any(|(n, v)| n == "publications_total" && *v > 0.0),
-            "sim synthesizes the shared telemetry names: {:?}",
-            r.telemetry
-        );
-    }
-
-    #[test]
-    fn sim_backend_reduces_for_parameter_pull_strategies() {
-        let s = tiny().with_strategy(StrategyKind::DeltaUpdate);
-        let sim = SimBackend.run(&s).unwrap();
-        let analytic = AnalyticBackend.run(&s).unwrap();
-        // Identical replicas ⇒ identical accuracy timeline.
-        assert_eq!(sim.timeline, analytic.timeline);
-        assert!(sim.sync_bytes > 0, "DeltaUpdate ships parameters");
-        assert!(sim.lora_memory_bytes.is_none());
-    }
-
-    #[test]
     fn invalid_scenario_is_rejected_by_every_backend() {
-        let mut s = tiny();
-        s.topology.workers = 0;
-        for backend in all_backends() {
-            assert!(
-                backend.run(&s).is_err(),
-                "{} accepted an invalid scenario",
-                backend.name()
-            );
+        let mut no_workers = tiny();
+        no_workers.topology.workers = 0;
+        let mut no_replicas = tiny();
+        no_replicas.topology.replicas = 0;
+        for s in [no_workers, no_replicas] {
+            for backend in all_backends() {
+                assert!(
+                    backend.run(&s).is_err(),
+                    "{} accepted an invalid scenario",
+                    backend.name()
+                );
+            }
         }
     }
 }

@@ -1,10 +1,9 @@
-//! # liveupdate_scenario — one experiment description, three execution engines
+//! # liveupdate_scenario — one experiment description, many execution engines
 //!
-//! Before this crate the repo had three parallel ways to "run the paper" — the analytic
-//! timeline (`liveupdate::experiment`), the discrete-event multi-replica sim
-//! (`liveupdate::cluster`), and the real multithreaded runtime (`liveupdate_runtime`) —
-//! each with its own config struct, its own result type, and no way to run the *same*
-//! workload + strategy on all three. This crate is the unifying layer:
+//! The repo has several ways to "run the paper" — the analytic timeline
+//! (`liveupdate::experiment`), the real multithreaded runtime (`liveupdate_runtime`) and
+//! the TCP replica tier (`liveupdate_net`) — and each had its own config struct and
+//! result type. This crate is the unifying layer:
 //!
 //! ```text
 //!                         ┌──────────────────────────┐
@@ -15,11 +14,11 @@
 //!                                      │ ExecutionBackend::run
 //!              ┌───────────────────────┼────────────────────────┐
 //!              ▼                       ▼                        ▼
-//!     AnalyticBackend            SimBackend             RealtimeBackend
-//!   (prequential windowed   (event-driven N-replica   (std::thread workers,
-//!    accuracy timeline)      cluster, sparse syncs     open-loop Poisson load,
-//!                            priced on the fabric)     UpdatePolicy on the
-//!                                                      updater thread)
+//!     AnalyticBackend           RealtimeBackend        DistributedBackend
+//!   (prequential windowed   (std::thread workers,    (liveupdate_net: N TCP
+//!    accuracy timeline)      open-loop Poisson load,  replicas, sync traffic
+//!                            UpdatePolicy on the      measured on the wire)
+//!                            updater thread)
 //!              │                       │                        │
 //!              └───────────────────────┼────────────────────────┘
 //!                                      ▼
@@ -34,14 +33,14 @@
 //!   workspace's vendored `serde` is marker-only; scenarios ship their own small codec
 //!   ([`json`]).
 //! * [`backend::ExecutionBackend`] — the engine trait; [`backend::all_backends`] lists
-//!   the three implementations.
+//!   the in-process implementations (`liveupdate_net::all_backends_with_distributed`
+//!   appends the TCP engine).
 //! * [`report::ScenarioReport`] — the unified result schema (fields an engine cannot
 //!   observe stay `None` rather than being fabricated).
 //!
-//! The legacy entry points (`run_strategy*`, `ServingCluster::run`, `ServingRuntime`)
-//! keep working — the backends are thin adapters over them, and the old config types are
-//! exactly what [`scenario::Scenario::experiment_config`] /
-//! [`scenario::Scenario::cluster_config`] / [`scenario::Scenario::runtime_config`]
+//! The legacy entry points (`run_strategy*`, `ServingRuntime`) keep working — the
+//! backends are thin adapters over them, and the old config types are exactly what
+//! [`scenario::Scenario::experiment_config`] / [`scenario::Scenario::runtime_config`]
 //! project onto.
 //!
 //! ## Quickstart
@@ -67,7 +66,7 @@ pub mod json;
 pub mod report;
 pub mod scenario;
 
-pub use backend::{all_backends, AnalyticBackend, ExecutionBackend, RealtimeBackend, SimBackend};
+pub use backend::{all_backends, AnalyticBackend, ExecutionBackend, RealtimeBackend};
 pub use report::{auc_agreement, BackendKind, ScenarioReport, SyncProvenance};
 pub use scenario::{
     HorizonSpec, PolicySpec, RealtimeSpec, Scenario, ScenarioError, TopologySpec, WorkloadSpec,

@@ -1,10 +1,10 @@
 //! The unified result schema every execution backend reports into.
 //!
-//! One [`ScenarioReport`] holds the union of what the three engines can measure; fields
-//! an engine cannot observe are `None`/empty rather than fabricated. The analytic
-//! backend fills the freshness timeline and the paper's analytic update cost; the
-//! discrete-event backend adds measured sync traffic; the real-thread backend adds
-//! wall-clock QPS, latency percentiles, and the epoch-swap publication history.
+//! One [`ScenarioReport`] holds the union of what the engines can measure; fields an
+//! engine cannot observe are `None`/empty rather than fabricated. The analytic backend
+//! fills the freshness timeline and the paper's analytic update cost; the real-thread
+//! backend adds wall-clock QPS, latency percentiles, and the epoch-swap publication
+//! history; the TCP backend adds sync traffic measured at the socket.
 
 use liveupdate::experiment::TimelinePoint;
 use serde::{Deserialize, Serialize};
@@ -14,8 +14,6 @@ use serde::{Deserialize, Serialize};
 pub enum BackendKind {
     /// The analytic single-node timeline (`liveupdate::experiment`).
     Analytic,
-    /// The discrete-event multi-replica cluster (`liveupdate::cluster`).
-    Sim,
     /// The real multithreaded runtime (`liveupdate_runtime`).
     Realtime,
     /// The TCP multi-replica tier (`liveupdate_net`): N replica servers on localhost
@@ -29,24 +27,20 @@ impl BackendKind {
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::Analytic => "analytic",
-            BackendKind::Sim => "sim",
             BackendKind::Realtime => "realtime",
             BackendKind::Distributed => "distributed",
         }
     }
 }
 
-/// How a report's synchronisation-byte numbers were obtained. PR 4's backends each
-/// counted "sync bytes" their own way (analytic projection, simulated fabric charge,
-/// whole parameters counted in-process); with real wire measurements joining the table,
-/// every report now says explicitly where its bytes came from, so `scenario_compare`
-/// can label columns instead of silently mixing provenances.
+/// How a report's synchronisation-byte numbers were obtained. The backends count "sync
+/// bytes" their own way (analytic projection, whole parameters counted in-process, frame
+/// lengths at a socket), so every report says explicitly where its bytes came from and
+/// `scenario_compare` can label columns instead of silently mixing provenances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SyncProvenance {
     /// Projected from the paper's analytic cost model (no traffic ever existed).
     AnalyticModel,
-    /// Charged against the discrete-event cluster's modelled fabric.
-    SimulatedFabric,
     /// Whole parameters counted as they moved between threads of one process.
     CountedInProcess,
     /// Bytes counted at a real socket (frame lengths summed at send/receive).
@@ -59,7 +53,6 @@ impl SyncProvenance {
     pub fn label(&self) -> &'static str {
         match self {
             SyncProvenance::AnalyticModel => "analytic",
-            SyncProvenance::SimulatedFabric => "sim-fabric",
             SyncProvenance::CountedInProcess => "counted",
             SyncProvenance::MeasuredWire => "wire",
         }
@@ -78,8 +71,8 @@ pub struct ScenarioReport {
     /// Prequential freshness timeline (per-window AUC/log-loss). Empty on the
     /// real-thread backend, whose accuracy fields are end-of-run evaluations instead.
     pub timeline: Vec<TimelinePoint>,
-    /// Mean AUC. Prequential mean for analytic/sim; end-of-run held-out AUC of the final
-    /// published model for realtime.
+    /// Mean AUC. Prequential mean for analytic; end-of-run held-out AUC of the final
+    /// published model for realtime and distributed.
     pub mean_auc: Option<f64>,
     /// Mean log loss (same provenance as `mean_auc`).
     pub mean_logloss: Option<f64>,
@@ -95,7 +88,7 @@ pub struct ScenarioReport {
     pub p99_latency_ms: Option<f64>,
     /// Update events performed (training rounds or sync pulls, per the strategy).
     pub update_events: u64,
-    /// Snapshot publications (epoch swaps on realtime; sparse LoRA syncs on sim).
+    /// Snapshot publications (epoch swaps on realtime and distributed).
     pub publications: u64,
     /// Mean wall-clock milliseconds per update block (realtime only).
     pub mean_update_ms: Option<f64>,
@@ -119,8 +112,8 @@ pub struct ScenarioReport {
     /// Flattened telemetry rows `(name, value)`, sorted by name, using the shared
     /// metric-name contract (`serve_requests_total`, `publications_total`,
     /// `serve_latency_us_p99`, …). Realtime and distributed backends scrape them
-    /// from the live registry; analytic and sim synthesize the same names from
-    /// their own accounting so dashboards read one schema across all four engines.
+    /// from the live registry; analytic synthesizes the same names from its own
+    /// accounting so dashboards read one schema across every engine.
     #[serde(default)]
     pub telemetry: Vec<(String, f64)>,
 }
@@ -155,7 +148,7 @@ impl ScenarioReport {
     }
 
     /// Synthesize the shared-contract telemetry rows from the report's own counters.
-    /// Backends without a live registry (analytic, sim) call this so every backend's
+    /// Backends without a live registry (analytic) call this so every backend's
     /// report answers the same metric names; registry-backed backends overwrite the
     /// rows with a real scrape instead.
     pub fn synthesize_telemetry(&mut self) {
@@ -281,7 +274,8 @@ impl ScenarioReport {
 }
 
 /// Absolute difference of the two reports' mean AUC, when both backends report one —
-/// the sim-vs-analytic (and sim-vs-real) agreement number the parity tests pin.
+/// the realtime-vs-distributed (and analytic-vs-real) agreement number the parity tests
+/// pin.
 #[must_use]
 pub fn auc_agreement(a: &ScenarioReport, b: &ScenarioReport) -> Option<f64> {
     match (a.mean_auc, b.mean_auc) {
@@ -297,7 +291,6 @@ mod tests {
     #[test]
     fn backend_names_are_stable() {
         assert_eq!(BackendKind::Analytic.name(), "analytic");
-        assert_eq!(BackendKind::Sim.name(), "sim");
         assert_eq!(BackendKind::Realtime.name(), "realtime");
         assert_eq!(BackendKind::Distributed.name(), "distributed");
     }
@@ -305,7 +298,6 @@ mod tests {
     #[test]
     fn provenance_labels_are_stable() {
         assert_eq!(SyncProvenance::AnalyticModel.label(), "analytic");
-        assert_eq!(SyncProvenance::SimulatedFabric.label(), "sim-fabric");
         assert_eq!(SyncProvenance::CountedInProcess.label(), "counted");
         assert_eq!(SyncProvenance::MeasuredWire.label(), "wire");
     }
@@ -346,7 +338,7 @@ mod tests {
     #[test]
     fn agreement_requires_both_aucs() {
         let mut a = ScenarioReport::new("s", BackendKind::Analytic, "LiveUpdate");
-        let mut b = ScenarioReport::new("s", BackendKind::Sim, "LiveUpdate");
+        let mut b = ScenarioReport::new("s", BackendKind::Realtime, "LiveUpdate");
         assert_eq!(auc_agreement(&a, &b), None);
         a.mean_auc = Some(0.7);
         b.mean_auc = Some(0.65);

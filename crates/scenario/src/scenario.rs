@@ -4,22 +4,18 @@
 //! serving topology, update policy, horizon — in one plain-data struct that loads from a
 //! JSON file. New experiments are therefore *data, not code*: drop a file into
 //! `scenarios/` and every [`ExecutionBackend`](crate::backend::ExecutionBackend) can run
-//! it. The struct maps losslessly onto the three legacy config types
-//! ([`ExperimentConfig`], [`ClusterConfig`], [`RuntimeConfig`]) via
-//! [`Scenario::experiment_config`] / [`Scenario::cluster_config`] /
+//! it. The struct maps losslessly onto the config types the engines consume
+//! ([`ExperimentConfig`], [`RuntimeConfig`]) via [`Scenario::experiment_config`] /
 //! [`Scenario::runtime_config`], which is what keeps the old entry points working as
 //! thin shims.
 
 use crate::json::{Json, JsonError};
-use liveupdate::cluster::ClusterConfig;
 use liveupdate::config::LiveUpdateConfig;
 use liveupdate::error::ConfigError;
 use liveupdate::experiment::ExperimentConfig;
 use liveupdate::strategy::StrategyKind;
 use liveupdate_dlrm::embedding::StorageKind;
 use liveupdate_runtime::config::{RuntimeConfig, UpdateMode};
-use liveupdate_sim::cluster::ClusterSpec;
-use liveupdate_sim::collective::CollectiveAlgorithm;
 use liveupdate_workload::datasets::DatasetPreset;
 use liveupdate_workload::drift::DriftConfig;
 use liveupdate_workload::shard::ShardPolicy;
@@ -94,7 +90,8 @@ pub struct WorkloadSpec {
 /// Serving topology: replica/worker counts, queue depths, batching, routing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TopologySpec {
-    /// Serving replicas of the discrete-event cluster backend.
+    /// Serving replicas: TCP replica servers on the distributed backend. The in-process
+    /// backends run one node.
     pub replicas: usize,
     /// Worker (inference) threads of the real-thread backend.
     pub workers: usize,
@@ -117,9 +114,7 @@ pub struct PolicySpec {
     pub update_interval_minutes: f64,
     /// Interval of the full-parameter synchronisation (QuickUpdate and LiveUpdate).
     pub full_sync_interval_minutes: f64,
-    /// Minutes between sparse LoRA synchronisations across replicas (sim backend).
-    pub sync_interval_minutes: f64,
-    /// Online LoRA update rounds per serving window (analytic/sim backends).
+    /// Online LoRA update rounds per serving window (analytic backend).
     pub online_rounds_per_window: usize,
     /// Mini-batch size of each online round.
     pub online_batch_size: usize,
@@ -221,7 +216,6 @@ impl Scenario {
                 strategy: StrategyKind::LiveUpdate,
                 update_interval_minutes: 10.0,
                 full_sync_interval_minutes: 60.0,
-                sync_interval_minutes: 10.0,
                 online_rounds_per_window: 6,
                 online_batch_size: 64,
             },
@@ -246,8 +240,8 @@ impl Scenario {
         s
     }
 
-    /// Validate the scenario end to end: the derived experiment, cluster and runtime
-    /// configurations must all be valid, plus scenario-level constraints.
+    /// Validate the scenario end to end: the derived experiment and runtime
+    /// configurations must both be valid, plus scenario-level constraints.
     ///
     /// # Errors
     ///
@@ -307,9 +301,13 @@ impl Scenario {
                 field: "scenario.policy.online_batch_size",
             });
         }
-        // The derived configurations re-check everything they consume (and the cluster
-        // check subsumes the experiment check).
-        self.cluster_config().validate()?;
+        if self.topology.replicas == 0 {
+            return Err(ConfigError::NonPositive {
+                field: "scenario.topology.replicas",
+            });
+        }
+        // The derived configurations re-check everything they consume.
+        self.experiment_config().validate()?;
         self.runtime_config().validate()
     }
 
@@ -324,7 +322,7 @@ impl Scenario {
     /// pin the rank; everything else uses the paper defaults), with the scenario's
     /// serving-storage and hot-row-cache knobs applied — this is the single funnel
     /// through which every backend builds its serving nodes, so quantized serving works
-    /// identically on the analytic, sim, realtime and distributed engines.
+    /// identically on the analytic, realtime and distributed engines.
     #[must_use]
     pub fn liveupdate_config(&self) -> LiveUpdateConfig {
         let mut cfg = match self.policy.strategy {
@@ -380,19 +378,6 @@ impl Scenario {
             training_batch_size: self.horizon.training_batch_size,
             liveupdate: self.liveupdate_config(),
             seed: self.seed,
-        }
-    }
-
-    /// Project the scenario onto the discrete-event cluster backend's [`ClusterConfig`].
-    #[must_use]
-    pub fn cluster_config(&self) -> ClusterConfig {
-        ClusterConfig {
-            experiment: self.experiment_config(),
-            num_replicas: self.topology.replicas,
-            routing: self.topology.routing,
-            sync_interval_minutes: self.policy.sync_interval_minutes,
-            spec: ClusterSpec::with_nodes(self.topology.replicas),
-            algorithm: CollectiveAlgorithm::TreeAllGather,
         }
     }
 
@@ -550,10 +535,6 @@ impl Scenario {
                         Json::Num(self.policy.full_sync_interval_minutes),
                     ),
                     (
-                        "sync_interval_minutes".into(),
-                        Json::Num(self.policy.sync_interval_minutes),
-                    ),
-                    (
                         "online_rounds_per_window".into(),
                         Json::Num(self.policy.online_rounds_per_window as f64),
                     ),
@@ -671,7 +652,6 @@ impl Scenario {
                 strategy: strategy_from_json(policy.field("strategy")?)?,
                 update_interval_minutes: policy.field("update_interval_minutes")?.as_f64()?,
                 full_sync_interval_minutes: policy.field("full_sync_interval_minutes")?.as_f64()?,
-                sync_interval_minutes: policy.field("sync_interval_minutes")?.as_f64()?,
                 online_rounds_per_window: policy.field("online_rounds_per_window")?.as_usize()?,
                 online_batch_size: policy.field("online_batch_size")?.as_usize()?,
             },
@@ -788,7 +768,6 @@ mod tests {
         let s = Scenario::small("unit");
         assert_eq!(s.validate(), Ok(()));
         assert!(s.experiment_config().is_valid());
-        assert!(s.cluster_config().is_valid());
         assert_eq!(s.runtime_config().validate(), Ok(()));
     }
 
@@ -916,6 +895,15 @@ mod tests {
         let mut s = Scenario::small("bad");
         s.topology.workers = 0;
         assert!(s.validate().is_err());
+
+        let mut s = Scenario::small("bad");
+        s.topology.replicas = 0;
+        assert_eq!(
+            s.validate(),
+            Err(ConfigError::NonPositive {
+                field: "scenario.topology.replicas"
+            })
+        );
     }
 
     #[test]

@@ -74,71 +74,6 @@ impl Default for ClusterSpec {
     }
 }
 
-/// Running account of what the periodic LoRA synchronisations charge against the
-/// intra-cluster fabric: payload shipped per rank and AllGather wall-clock time.
-///
-/// A serving cluster charges one entry per sync; the totals feed the Fig. 19 style
-/// scalability reports and the fabric-utilisation sanity checks (sync time must stay a
-/// tiny fraction of the serving horizon for the paper's claims to hold).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SyncCostLedger {
-    /// Number of synchronisations charged.
-    pub syncs: u64,
-    /// Total payload bytes shipped per rank, summed over all syncs.
-    pub total_bytes_per_rank: u64,
-    /// Total AllGather seconds, summed over all syncs.
-    pub total_allgather_seconds: f64,
-    /// The single most expensive AllGather observed, in seconds.
-    pub max_allgather_seconds: f64,
-}
-
-impl SyncCostLedger {
-    /// An empty ledger.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Charge one synchronisation against the fabric.
-    pub fn charge(&mut self, bytes_per_rank: u64, allgather_seconds: f64) {
-        self.syncs += 1;
-        self.total_bytes_per_rank += bytes_per_rank;
-        self.total_allgather_seconds += allgather_seconds;
-        if allgather_seconds > self.max_allgather_seconds {
-            self.max_allgather_seconds = allgather_seconds;
-        }
-    }
-
-    /// Mean payload per sync in bytes (0 when nothing was charged).
-    #[must_use]
-    pub fn mean_bytes_per_rank(&self) -> f64 {
-        if self.syncs == 0 {
-            return 0.0;
-        }
-        self.total_bytes_per_rank as f64 / self.syncs as f64
-    }
-
-    /// Mean AllGather seconds per sync (0 when nothing was charged).
-    #[must_use]
-    pub fn mean_allgather_seconds(&self) -> f64 {
-        if self.syncs == 0 {
-            return 0.0;
-        }
-        self.total_allgather_seconds / self.syncs as f64
-    }
-
-    /// Fraction of a serving horizon the fabric spent inside AllGathers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon_seconds <= 0`.
-    #[must_use]
-    pub fn fabric_utilization(&self, horizon_seconds: f64) -> f64 {
-        assert!(horizon_seconds > 0.0, "horizon must be positive");
-        self.total_allgather_seconds / horizon_seconds
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,28 +115,5 @@ mod tests {
         let m = c.intra_collective(CollectiveAlgorithm::TreeAllGather);
         assert_eq!(m.link, c.intra_link);
         assert_eq!(m.algorithm, CollectiveAlgorithm::TreeAllGather);
-    }
-
-    #[test]
-    fn ledger_accumulates_and_averages() {
-        let mut l = SyncCostLedger::new();
-        assert_eq!(l.mean_bytes_per_rank(), 0.0);
-        assert_eq!(l.mean_allgather_seconds(), 0.0);
-        l.charge(1_000, 2.0);
-        l.charge(3_000, 6.0);
-        assert_eq!(l.syncs, 2);
-        assert_eq!(l.total_bytes_per_rank, 4_000);
-        assert_eq!(l.mean_bytes_per_rank(), 2_000.0);
-        assert!((l.total_allgather_seconds - 8.0).abs() < 1e-12);
-        assert!((l.mean_allgather_seconds() - 4.0).abs() < 1e-12);
-        assert_eq!(l.max_allgather_seconds, 6.0);
-        // 8 s of AllGather over a 80 s horizon ⇒ 10 % fabric utilisation.
-        assert!((l.fabric_utilization(80.0) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "horizon must be positive")]
-    fn ledger_rejects_degenerate_horizon() {
-        let _ = SyncCostLedger::new().fabric_utilization(0.0);
     }
 }

@@ -20,7 +20,6 @@
 //!   latencies share one histogram.
 //! * [`power`] — CPU utilisation → power model (Fig. 4, Fig. 5, Fig. 18).
 //! * [`node`] / [`cluster`] — node and cluster composition.
-//! * [`event`] — a small deterministic discrete-event queue used by the serving engine.
 //!
 //! Everything is analytic and deterministic: the goal is reproducing the *shape* of the
 //! paper's hardware effects (who contends with whom, what scales how), not cycle accuracy.
@@ -29,7 +28,6 @@ pub mod cache;
 pub mod cluster;
 pub mod collective;
 pub mod cpu;
-pub mod event;
 pub mod membw;
 pub mod network;
 pub mod node;
@@ -41,7 +39,6 @@ pub use cache::LruCache;
 pub use cluster::ClusterSpec;
 pub use collective::{CollectiveAlgorithm, CollectiveModel};
 pub use cpu::{CcdSpec, CpuSpec};
-pub use event::EventQueue;
 pub use latency::LogLinearHistogram;
 pub use membw::MemoryBandwidthModel;
 pub use network::NetworkLink;

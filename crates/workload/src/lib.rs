@@ -32,7 +32,7 @@ pub mod zipf;
 
 pub use datasets::{DatasetPreset, DatasetSpec};
 pub use drift::DriftConfig;
-pub use shard::{ShardPolicy, ShardedStream, StreamSharder};
+pub use shard::{ShardPolicy, StreamSharder};
 pub use synthetic::{SyntheticWorkload, WorkloadConfig};
 pub use trace::{InteractionRecord, RetentionBuffer};
 pub use zipf::ZipfSampler;

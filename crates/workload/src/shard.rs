@@ -11,10 +11,9 @@
 //!   request regardless of the ID distribution.
 //!
 //! Both are pure functions of the sharder state and the sample — no randomness — so a
-//! cluster run is reproducible from its seed. Within every shard the original stream
-//! order is preserved.
+//! routed run is reproducible from its seed.
 
-use liveupdate_dlrm::sample::{MiniBatch, Sample};
+use liveupdate_dlrm::sample::Sample;
 use serde::{Deserialize, Serialize};
 
 /// How requests are assigned to shards (replicas).
@@ -101,91 +100,23 @@ impl StreamSharder {
             }
         }
     }
-
-    /// Shard assignment of every sample of a batch, in stream order.
-    pub fn assignments(&mut self, batch: &MiniBatch) -> Vec<usize> {
-        batch.iter().map(|s| self.shard_of(s)).collect()
-    }
-
-    /// Group a batch into the per-shard mini-batches named by `assignments`, preserving
-    /// the original stream order within every shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignments` does not match the batch length or names an out-of-range
-    /// shard.
-    #[must_use]
-    pub fn group(batch: &MiniBatch, assignments: &[usize], num_shards: usize) -> Vec<MiniBatch> {
-        assert_eq!(
-            assignments.len(),
-            batch.len(),
-            "one assignment per sample is required"
-        );
-        let mut shards: Vec<Vec<Sample>> = vec![Vec::new(); num_shards];
-        for (sample, &shard) in batch.iter().zip(assignments) {
-            assert!(
-                shard < num_shards,
-                "shard {shard} out of range ({num_shards})"
-            );
-            shards[shard].push(sample.clone());
-        }
-        shards.into_iter().map(MiniBatch::new).collect()
-    }
-
-    /// Split a batch into one mini-batch per shard under this sharder's policy.
-    pub fn split(&mut self, batch: &MiniBatch) -> Vec<MiniBatch> {
-        let assignments = self.assignments(batch);
-        Self::group(batch, &assignments, self.num_shards)
-    }
-
-    /// Adapt a `(time, sample)` stream into a `(time, shard, sample)` stream, tagging each
-    /// item with its route (see [`ShardedStream`]).
-    pub fn shard_stream<I>(self, stream: I) -> ShardedStream<I>
-    where
-        I: Iterator<Item = (f64, Sample)>,
-    {
-        ShardedStream {
-            inner: stream,
-            sharder: self,
-        }
-    }
-}
-
-/// Iterator adapter produced by [`StreamSharder::shard_stream`]: yields
-/// `(time_minutes, shard, sample)` triples in stream order.
-#[derive(Debug, Clone)]
-pub struct ShardedStream<I> {
-    inner: I,
-    sharder: StreamSharder,
-}
-
-impl<I> ShardedStream<I> {
-    /// The underlying sharder (e.g. to inspect the rotation position).
-    #[must_use]
-    pub fn sharder(&self) -> &StreamSharder {
-        &self.sharder
-    }
-}
-
-impl<I: Iterator<Item = (f64, Sample)>> Iterator for ShardedStream<I> {
-    type Item = (f64, usize, Sample);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (t, sample) = self.inner.next()?;
-        let shard = self.sharder.shard_of(&sample);
-        Some((t, shard, sample))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synthetic::{SyntheticWorkload, WorkloadConfig};
+    use liveupdate_dlrm::sample::MiniBatch;
     use proptest::prelude::*;
 
     fn batch(n: usize) -> MiniBatch {
         let mut w = SyntheticWorkload::new(WorkloadConfig::default());
         w.batch_at(0.0, n)
+    }
+
+    /// The shard of every sample of a batch, in stream order.
+    fn routes(s: &mut StreamSharder, b: &MiniBatch) -> Vec<usize> {
+        b.iter().map(|sample| s.shard_of(sample)).collect()
     }
 
     #[test]
@@ -199,10 +130,10 @@ mod tests {
         let b = batch(64);
         let mut a = StreamSharder::new(ShardPolicy::HashByUser, 4);
         let mut c = StreamSharder::new(ShardPolicy::HashByUser, 4);
-        let first = a.assignments(&b);
-        assert_eq!(first, c.assignments(&b));
+        let first = routes(&mut a, &b);
+        assert_eq!(first, routes(&mut c, &b));
         // Stateless: re-routing the same batch gives the same shards.
-        assert_eq!(first, a.assignments(&b));
+        assert_eq!(first, routes(&mut a, &b));
         assert!(first.iter().all(|&s| s < 4));
     }
 
@@ -224,8 +155,10 @@ mod tests {
     fn round_robin_balances_to_within_one() {
         let b = batch(10);
         let mut s = StreamSharder::new(ShardPolicy::RoundRobin, 4);
-        let shards = s.split(&b);
-        let sizes: Vec<usize> = shards.iter().map(MiniBatch::len).collect();
+        let mut sizes = vec![0usize; 4];
+        for shard in routes(&mut s, &b) {
+            sizes[shard] += 1;
+        }
         assert_eq!(sizes, vec![3, 3, 2, 2]);
         // The rotation continues across batches.
         assert_eq!(s.shard_of(&b.samples[0]), 2);
@@ -236,57 +169,30 @@ mod tests {
         let b = batch(16);
         for policy in [ShardPolicy::HashByUser, ShardPolicy::RoundRobin] {
             let mut s = StreamSharder::new(policy, 1);
-            let shards = s.split(&b);
-            assert_eq!(shards.len(), 1);
-            assert_eq!(shards[0], b);
-        }
-    }
-
-    #[test]
-    fn sharded_stream_tags_items_in_order() {
-        let mut w = SyntheticWorkload::new(WorkloadConfig::default());
-        let window = w.window(0.0, 10.0, 20);
-        let expected: Vec<Sample> = window.iter().map(|(_, s)| s.clone()).collect();
-        let tagged: Vec<(f64, usize, Sample)> = StreamSharder::new(ShardPolicy::RoundRobin, 3)
-            .shard_stream(window.into_iter())
-            .collect();
-        assert_eq!(tagged.len(), 20);
-        for (i, (_, shard, sample)) in tagged.iter().enumerate() {
-            assert_eq!(*shard, i % 3);
-            assert_eq!(sample, &expected[i]);
+            assert_eq!(routes(&mut s, &b), vec![0; b.len()]);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Splitting is a partition: every sample lands in exactly one shard, within-shard
-        /// order follows stream order, and shard indices are in range.
+        /// Every route is in range, a fresh sharder replays the same routes, and
+        /// round-robin visits the shards in strict rotation.
         #[test]
-        fn prop_split_is_an_order_preserving_partition(
+        fn prop_routes_are_in_range_and_replayable(
             n in 1usize..80,
             num_shards in 1usize..6,
             use_hash in proptest::bool::ANY,
         ) {
             let b = batch(n);
             let policy = if use_hash { ShardPolicy::HashByUser } else { ShardPolicy::RoundRobin };
-            let mut s = StreamSharder::new(policy, num_shards);
-            let assignments = s.assignments(&b);
-            let shards = StreamSharder::group(&b, &assignments, num_shards);
-            prop_assert_eq!(shards.len(), num_shards);
-            let total: usize = shards.iter().map(MiniBatch::len).sum();
-            prop_assert_eq!(total, n);
-            // Replaying the assignments must reproduce each shard's content in order.
-            for (shard_idx, shard) in shards.iter().enumerate() {
-                let expected: Vec<&Sample> = b
-                    .iter()
-                    .zip(&assignments)
-                    .filter(|(_, &a)| a == shard_idx)
-                    .map(|(s, _)| s)
-                    .collect();
-                prop_assert_eq!(shard.len(), expected.len());
-                for (got, want) in shard.iter().zip(expected) {
-                    prop_assert_eq!(got, want);
+            let first = routes(&mut StreamSharder::new(policy, num_shards), &b);
+            prop_assert_eq!(first.len(), n);
+            prop_assert!(first.iter().all(|&shard| shard < num_shards));
+            prop_assert_eq!(&first, &routes(&mut StreamSharder::new(policy, num_shards), &b));
+            if !use_hash {
+                for (i, &shard) in first.iter().enumerate() {
+                    prop_assert_eq!(shard, i % num_shards);
                 }
             }
         }

@@ -1,17 +1,13 @@
-//! Scalability scenario: a real multi-replica serving cluster at N ∈ {1, 2, 4, 8}, the
-//! projected LoRA synchronisation cost at production payloads, and the per-hour update
-//! cost of every strategy at production scale.
+//! Scalability scenario: the projected LoRA synchronisation cost at production payloads,
+//! and the per-hour update cost of every strategy at production scale.
 //!
-//! Part 1 actually runs the event-driven [`ServingCluster`]: N replicas share one
-//! drifting CTR stream behind a hash-by-user router, train their LoRA adapters locally,
-//! and exchange the sparse support each window (paper Fig. 19, §IV-E). Part 2 projects
-//! the AllGather to production-sized payloads; Part 3 reproduces the Fig. 14 cost table.
+//! Part 1 projects the tree and ring AllGather of the sparse LoRA exchange (paper
+//! Fig. 19, §IV-E) to production-sized payloads; Part 2 reproduces the Fig. 14 cost
+//! table. The measured multi-replica regime runs on real TCP replicas: see
+//! `cargo bench --bench fig19_scalability` and `examples/distributed_serving.rs`.
 //!
 //! Run with: `cargo run --release --example scalability`
-//! (CI runs this on every push; set `LIVEUPDATE_FULL_EVAL=1` for a longer horizon.)
 
-use liveupdate_repro::core::cluster::{replica_sweep, ClusterConfig};
-use liveupdate_repro::core::experiment::ExperimentConfig;
 use liveupdate_repro::core::strategy::cost::UpdateCostModel;
 use liveupdate_repro::core::strategy::StrategyKind;
 use liveupdate_repro::sim::collective::{CollectiveAlgorithm, CollectiveModel};
@@ -19,43 +15,8 @@ use liveupdate_repro::sim::network::NetworkLink;
 use liveupdate_repro::workload::datasets::DatasetPreset;
 
 fn main() {
-    let full = std::env::var("LIVEUPDATE_FULL_EVAL").is_ok();
-
-    // Part 1: drive the real cluster at every size.
-    let mut experiment = ExperimentConfig::small();
-    experiment.duration_minutes = if full { 60.0 } else { 30.0 };
-    experiment.requests_per_window = if full { 512 } else { 160 };
-    experiment.online_rounds_per_window = if full { 6 } else { 3 };
-    experiment.online_batch_size = 64;
-    let base = ClusterConfig::new(experiment, 1);
-    let sizes = [1usize, 2, 4, 8];
-
-    println!("event-driven serving cluster, drifting stream, sparse LoRA sync per window:\n");
-    println!(
-        "{:>8} {:>10} {:>10} {:>8} {:>14} {:>16}",
-        "nodes", "agg AUC", "logloss", "syncs", "KB/rank/sync", "allgather (ms)"
-    );
-    let summaries = replica_sweep(&base, &sizes);
-    for summary in &summaries {
-        println!(
-            "{:>8} {:>10.4} {:>10.4} {:>8} {:>14.1} {:>16.3}",
-            summary.num_replicas,
-            summary.mean_auc,
-            summary.mean_logloss,
-            summary.ledger.syncs,
-            summary.ledger.mean_bytes_per_rank() / 1e3,
-            summary.ledger.mean_allgather_seconds() * 1e3,
-        );
-    }
-    let single = summaries[0].mean_auc;
-    let widest = summaries[summaries.len() - 1].mean_auc;
-    println!(
-        "\npaper check: sharding over 8 replicas moves aggregate AUC by {:+.4} vs one node",
-        widest - single
-    );
-
-    // Part 2: Fig. 19 — project the measured per-sync payload to production scale
-    // (a few GB of active rows per node) and price the collective at larger clusters.
+    // Part 1: Fig. 19 — price the sync at production scale (a few GB of active rows
+    // per node) across cluster sizes.
     let payload_per_node: u64 = 4_000_000_000;
     let tree = CollectiveModel::new(
         NetworkLink::infiniband_edr(),
@@ -66,7 +27,7 @@ fn main() {
         CollectiveAlgorithm::RingAllGather,
     );
     println!(
-        "\nprojected AllGather at production payloads ({} GB of active rows per node):\n",
+        "projected AllGather at production payloads ({} GB of active rows per node):\n",
         payload_per_node / 1_000_000_000
     );
     println!("{:>8} {:>16} {:>16}", "nodes", "tree (min)", "ring (min)");
@@ -79,7 +40,7 @@ fn main() {
         );
     }
 
-    // Part 3: Fig. 14 — update cost per hour for the BD-TB dataset.
+    // Part 2: Fig. 14 — update cost per hour for the BD-TB dataset.
     let model = UpdateCostModel::default();
     let dataset = DatasetPreset::BdTb.spec();
     println!(

@@ -1,11 +1,11 @@
-//! Scenario comparison: one experiment description, three execution engines.
+//! Scenario comparison: one experiment description, every in-process execution engine.
 //!
 //! Loads a [`Scenario`] from JSON (`scenarios/quick_compare.json` by default, or the
-//! path in `SCENARIO_FILE`), runs it on the analytic, discrete-event and real-thread
-//! backends, then sweeps the real-thread backend over the paper's strategy taxonomy —
-//! the first measurement of QuickUpdate and DeltaUpdate cadences under real contention.
-//! Prints one unified report row per run, a sim-vs-analytic/real agreement table, and
-//! writes the machine-readable `BENCH_scenario.json` artifact.
+//! path in `SCENARIO_FILE`), runs it on the analytic and real-thread backends, then
+//! sweeps the real-thread backend over the paper's strategy taxonomy — the measurement
+//! of QuickUpdate and DeltaUpdate cadences under real contention. Prints one unified
+//! report row per run, the analytic-vs-real agreement, and writes the machine-readable
+//! `BENCH_scenario.json` artifact.
 //!
 //! Run with: `cargo run --release --example scenario_compare`
 //! Knobs: `SCENARIO_FILE` (path to a scenario JSON), `SCENARIO_WALL_SECONDS` (wall
@@ -56,11 +56,10 @@ fn main() {
     scenario.validate().expect("scenario must validate");
 
     println!(
-        "\n== one scenario, three engines ({} | {} windows x {} req | {} replicas / {} workers) ==",
+        "\n== one scenario, every in-process engine ({} | {} windows x {} req | {} workers) ==",
         scenario.policy.strategy.name(),
         (scenario.horizon.duration_minutes / scenario.horizon.window_minutes).ceil(),
         scenario.horizon.requests_per_window,
-        scenario.topology.replicas,
         scenario.topology.workers,
     );
     // Every registered engine runs the identical description — a backend added to
@@ -80,14 +79,9 @@ fn main() {
             .expect("engine ran")
     };
     let analytic = by_kind(BackendKind::Analytic).clone();
-    let sim = by_kind(BackendKind::Sim).clone();
     let real = by_kind(BackendKind::Realtime).clone();
 
     println!("\n== agreement (same scenario, different fidelities) ==");
-    println!(
-        "analytic vs sim   mean-AUC delta: {:.4}",
-        auc_agreement(&analytic, &sim).unwrap_or(f64::NAN)
-    );
     println!(
         "analytic vs real  mean-AUC delta: {:.4}  (real AUC is end-of-run, not prequential)",
         auc_agreement(&analytic, &real).unwrap_or(f64::NAN)

@@ -1,6 +1,7 @@
 //! Integration tests of the TCP serving tier: the distributed backend must agree with
-//! the real-thread backend at N=1 (same scenario, one extra socket hop) and, at N=2,
-//! the wire-measured sync traffic must reproduce the paper's cost ordering.
+//! the real-thread backend at N=1 (same scenario, one extra socket hop); at N=2 the
+//! wire-measured sync traffic must reproduce the paper's cost ordering; and at N=4 the
+//! sharded replicas, kept consistent by the socket sync, must stay as accurate as one.
 
 use liveupdate_repro::core::strategy::StrategyKind;
 use liveupdate_repro::net::DistributedBackend;
@@ -37,6 +38,37 @@ fn distributed_n1_matches_realtime_auc_on_quick_compare() {
         "realtime vs distributed mean AUC differ by {delta:.4} (>= 0.05): realtime={:?} distributed={:?}",
         realtime.mean_auc,
         distributed.mean_auc,
+    );
+}
+
+/// Convergence at N=4: each replica trains LiveUpdate on a quarter of the routed
+/// traffic, and the sparse LoRA sync over the sockets shares what each learned, so the
+/// replicas' mean held-out AUC stays within 0.15 of a single replica serving
+/// everything.
+#[test]
+fn distributed_n4_auc_stays_within_tolerance_of_n1() {
+    let mut scenario = quick_compare();
+    scenario.topology.workers = 1;
+    scenario.realtime.wall_seconds = 1.0;
+    let run = |replicas: usize| {
+        let mut s = scenario.clone();
+        s.topology.replicas = replicas;
+        DistributedBackend
+            .run(&s)
+            .unwrap_or_else(|e| panic!("N={replicas}: {e}"))
+    };
+    let single = run(1);
+    let sharded = run(4);
+    assert!(
+        sharded.lora_sync_bytes > 0,
+        "the replicas synced on the wire"
+    );
+    let delta = auc_agreement(&single, &sharded).expect("both runs report AUC");
+    assert!(
+        delta < 0.15,
+        "N=4 mean AUC {:?} strayed {delta:.4} from N=1 {:?}",
+        sharded.mean_auc,
+        single.mean_auc,
     );
 }
 
@@ -92,10 +124,15 @@ fn distributed_n2_wire_bytes_preserve_the_papers_ordering() {
 }
 
 /// Every shipped scenario file runs on the distributed backend unchanged (bounded to a
-/// short wall so CI stays fast).
+/// short wall so CI stays fast). `prod_1m.json` is left out: two Prod-1M replicas peak
+/// at ~1.5 GB, and loopbench's `prod_*` workloads serve that geometry.
 #[test]
 fn shipped_scenario_files_run_on_the_distributed_backend() {
-    for file in ["quick_compare.json", "distributed_quick.json"] {
+    for file in [
+        "quick_compare.json",
+        "distributed_quick.json",
+        "criteo_cluster.json",
+    ] {
         let path = format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
         let mut scenario = Scenario::from_file(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
         scenario.realtime.wall_seconds = 0.3;
