@@ -13,12 +13,12 @@
 //! (`many_conn_p99_flat`).
 //!
 //! Knobs: `NET_SWEEP_RPS` (offered load, default 600), `NET_SWEEP_SECONDS` (measured
-//! seconds per sweep point, default 3). Rows merge into `BENCH_net.json` via
-//! [`merge_bench_json`], preserving the distributed-serving example's rows.
+//! seconds per sweep point, default 3). Writes `BENCH_net.json`, whose only producer
+//! this bench is.
 
 use liveupdate::config::LiveUpdateConfig;
 use liveupdate::engine::ServingNode;
-use liveupdate_bench::{header, merge_bench_json, BenchMetric};
+use liveupdate_bench::{header, write_bench_json, BenchMetric};
 use liveupdate_dlrm::model::{DlrmConfig, DlrmModel};
 use liveupdate_net::wire::Frame;
 use liveupdate_net::{MultiConnClient, ReplicaServer};
@@ -247,5 +247,5 @@ fn main() {
         f64::from(u8::from(flat)),
         "bool",
     ));
-    merge_bench_json("net", &metrics).expect("merge BENCH_net.json");
+    write_bench_json("net", &metrics).expect("write BENCH_net.json");
 }

@@ -335,14 +335,14 @@ mod tests {
     #[test]
     fn scenario_metrics_map_one_to_one() {
         use liveupdate_scenario::{BackendKind, ScenarioReport};
-        let mut report = ScenarioReport::new("s", BackendKind::Realtime, "LiveUpdate");
+        let mut report = ScenarioReport::new("s", BackendKind::Distributed, "LiveUpdate");
         report.qps = Some(123.0);
         report.mean_auc = Some(0.6);
         let metrics = scenario_metrics(&report);
         assert_eq!(metrics.len(), report.metric_rows().len());
         assert!(metrics
             .iter()
-            .any(|m| m.name == "realtime_liveupdate_qps" && m.value == 123.0));
+            .any(|m| m.name == "distributed_liveupdate_qps" && m.value == 123.0));
     }
 
     #[test]

@@ -155,6 +155,12 @@ impl ServingNode {
         &self.config
     }
 
+    /// The frozen base model the LoRA corrections apply on top of.
+    #[must_use]
+    pub fn base_model(&self) -> &DlrmModel {
+        &self.base_model
+    }
+
     /// The serving model (base + materialised LoRA corrections).
     #[must_use]
     pub fn serving_model(&self) -> &DlrmModel {
@@ -410,8 +416,7 @@ impl ServingNode {
 
     /// Apply one shipped base-embedding row (the wire form of the QuickUpdate-α% pull):
     /// overwrite `(table, row)` of the frozen base model with `values` and rematerialise
-    /// the serving view — keeping any live LoRA correction applied on top, exactly like
-    /// [`Self::partial_sync`] does when it holds the whole source model.
+    /// the serving view, keeping any live LoRA correction applied on top.
     ///
     /// # Panics
     ///
@@ -477,32 +482,6 @@ impl ServingNode {
             lora.merge_into(&mut self.base_model.tables_mut()[table_idx]);
         }
         self.hot_filter.clear();
-    }
-
-    /// Partial parameter synchronisation (the QuickUpdate-α% transfer rule): copy the
-    /// top `fraction` of embedding rows by parameter change from `source` into the frozen
-    /// base model, then rematerialise the serving view of every touched row so any live
-    /// LoRA correction stays applied on top of the fresh parameters. Returns the number
-    /// of rows pulled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` has a different table geometry than this node's model.
-    pub fn partial_sync(&mut self, source: &DlrmModel, fraction: f64) -> usize {
-        let pulled = self.base_model.pull_top_changed_rows(source, fraction);
-        let mut rows = 0usize;
-        for (table, indices) in pulled.iter().enumerate() {
-            for &row in indices {
-                rows += 1;
-                if self.loras[table].is_active(row) {
-                    self.refresh_serving_row(table, row);
-                } else {
-                    let fresh = self.base_model.table(table).row(row).to_vec();
-                    self.serving_model.tables_mut()[table].set_row(row, &fresh);
-                }
-            }
-        }
-        rows
     }
 
     /// Full-parameter synchronisation: replace both the base and the serving model with a

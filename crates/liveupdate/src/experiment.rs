@@ -203,7 +203,7 @@ fn train_on(model: &mut DlrmModel, batch: &MiniBatch, batch_size: usize) {
 
 /// Pretrain the Day-1 checkpoint on the warm-up period and return it together with the
 /// workload positioned at the start of the evaluated period. Used by the scenario
-/// layer's real-thread and distributed backends so every execution engine starts from
+/// layer's distributed backend so every execution engine starts from
 /// the identical checkpoint a single-node analytic run would use.
 pub fn warmed_up_model(cfg: &ExperimentConfig) -> (DlrmModel, SyntheticWorkload) {
     let mut workload = SyntheticWorkload::new(cfg.workload.clone());

@@ -1,20 +1,18 @@
-//! The multi-replica execution engine: scenarios on real localhost TCP sockets.
+//! The measured execution engine: scenarios on real localhost TCP sockets.
 //!
 //! [`DistributedBackend`] implements [`ExecutionBackend`], so every
-//! `scenarios/*.json` that runs on the analytic and real-thread engines runs here
-//! unchanged — except that `topology.replicas` now means real
-//! [`ReplicaServer`](crate::server::ReplicaServer)s behind TCP listeners (each served
-//! by its epoll event-loop thread, with the driver's data plane pipelining one
-//! connection per replica through [`MultiConnClient`](crate::client::MultiConnClient)),
-//! the request path crosses a real network boundary, and the strategy's sync traffic
-//! is measured as bytes on the wire ([`SyncProvenance::MeasuredWire`]).
+//! `scenarios/*.json` that runs on the analytic engine runs here unchanged:
+//! `topology.replicas` means real [`ReplicaServer`](crate::server::ReplicaServer)s
+//! behind TCP listeners (each served by its epoll event-loop thread, with the driver's
+//! data plane pipelining one connection per replica through
+//! [`MultiConnClient`](crate::client::MultiConnClient)), the request path crosses a
+//! real network boundary, and the strategy's sync traffic is measured as bytes on the
+//! wire ([`SyncProvenance::MeasuredWire`]). It is the one engine that measures
+//! latency, interference and sync traffic, at every replica count including one.
 //!
-//! The run protocol deliberately mirrors
-//! [`RealtimeBackend`](liveupdate_scenario::RealtimeBackend) — identical Day-1
-//! checkpoint, identical retention-buffer prefill (every replica starts from the same
-//! state), identical held-out end-of-run evaluation — so the N=1 distributed run is the
-//! realtime run plus a socket, and the parity test can pin the two engines' accuracy
-//! against each other.
+//! The run protocol starts from the analytic engine's Day-1 checkpoint: the same
+//! warm-up and stream, one retention-buffer prefill shared by every replica, and an
+//! end-of-run evaluation on held-out traffic.
 
 use crate::driver::{run_distributed, DistributedConfig};
 use liveupdate::experiment::warmed_up_model;
@@ -25,9 +23,8 @@ use liveupdate_scenario::{
 };
 use std::time::Duration;
 
-/// The realtime engine's generator pool size: the two engines must cycle the same
-/// request pool and skip the same served region before drawing the held-out probe, or
-/// the N=1 parity test would compare evaluations on different data.
+/// The driver's request pool size, which is also the served region the end-of-run
+/// probe skips so it never evaluates a replica on traffic it served or trained on.
 fn sample_pool() -> usize {
     LoadGenConfig::default().sample_pool
 }
@@ -89,9 +86,9 @@ impl ExecutionBackend for DistributedBackend {
             }
         })?;
 
-        // End-of-run freshness, same protocol as the realtime backend: skip past every
-        // sample the run could have served or trained on, then probe each replica's
-        // final authoritative model on held-out traffic and average.
+        // End-of-run freshness: skip past every sample the run could have served or
+        // trained on, then probe each replica's final authoritative model on held-out
+        // traffic and average.
         let eval_minutes = exp.warmup_minutes + exp.window_minutes / 2.0;
         let mut eval_workload = workload;
         let _served_region =
@@ -147,18 +144,39 @@ impl ExecutionBackend for DistributedBackend {
         };
         // Cluster-merged rows from scraping *every* replica over `Frame::Stats` +
         // `Frame::TraceDump` (histogram buckets summed before the percentile walk,
-        // counters summed, gauges maxed) — the wire-measured analogue of the
-        // realtime scrape.
+        // counters summed, gauges maxed).
         report.telemetry = run.telemetry;
         Ok(report)
     }
 }
 
-/// Every engine including the TCP tier, in fidelity order — the superset of
-/// [`liveupdate_scenario::all_backends`].
+/// Every engine, in fidelity order: the analytic timeline, then the measured TCP tier.
 #[must_use]
-pub fn all_backends_with_distributed() -> Vec<Box<dyn ExecutionBackend>> {
-    let mut backends = liveupdate_scenario::all_backends();
-    backends.push(Box::new(DistributedBackend));
-    backends
+pub fn all_backends() -> Vec<Box<dyn ExecutionBackend>> {
+    vec![
+        Box::new(liveupdate_scenario::AnalyticBackend),
+        Box::new(DistributedBackend),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn invalid_scenario_is_rejected_by_every_backend() {
+        let mut no_workers = Scenario::small("backend_unit");
+        no_workers.topology.workers = 0;
+        let mut no_replicas = Scenario::small("backend_unit");
+        no_replicas.topology.replicas = 0;
+        for s in [no_workers, no_replicas] {
+            for backend in all_backends() {
+                assert!(
+                    backend.run(&s).is_err(),
+                    "{} accepted an invalid scenario",
+                    backend.name()
+                );
+            }
+        }
+    }
 }

@@ -16,7 +16,8 @@
 //!   of Algorithm 3 for local-training strategies, top-changed-row shipments for
 //!   QuickUpdate, full-model shipments for DeltaUpdate. The driver owns the shadow
 //!   "training cluster" model for the parameter-shipping baselines, trained on the
-//!   traffic it sends (the socket analogue of the in-process policies' `observe`).
+//!   traffic it sends, so their training never runs on a serving node (paper
+//!   Fig. 7): this driver is the one implementation of both baselines.
 //!
 //! Every byte number in the report is the sum of real frame lengths at the socket —
 //! nothing is estimated. LiveUpdate's parameter-shipment bytes are therefore *measured*
@@ -34,7 +35,7 @@ use liveupdate_dlrm::sample::{MiniBatch, Sample};
 use liveupdate_obs::span::{SpanRecord, SpanRing, TraceContext, TraceSampler, STAGE_ENQUEUED};
 use liveupdate_obs::{HistogramSnapshot, LogLinearHistogram};
 use liveupdate_runtime::config::RuntimeConfig;
-use liveupdate_runtime::policy::policy_for_strategy;
+use liveupdate_runtime::policy::{LiveUpdatePolicy, UpdatePolicy};
 use liveupdate_runtime::report::RuntimeReport;
 use liveupdate_runtime::telemetry::PUBLICATION_TRACE_FLAG;
 use liveupdate_workload::arrival::{ArrivalModel, RealTimePacer};
@@ -412,20 +413,14 @@ pub fn run_distributed(
     // --- replica servers -------------------------------------------------------------
     let mut servers = Vec::with_capacity(cfg.replicas);
     for node in nodes {
-        // Local-training strategies run their policy on the replica's updater thread;
-        // parameter-pull strategies run ingest-only and receive shipments as frames.
-        let policy = if cfg.strategy.trains_locally() {
-            policy_for_strategy(
-                cfg.strategy,
-                day1_model,
-                cfg.rounds_per_update,
-                cfg.online_batch_size,
-                cfg.training_batch_size,
-                cfg.full_sync_every_ticks,
-            )
-        } else {
-            None
-        };
+        // Local-training strategies run LiveUpdate on the replica's updater thread;
+        // the others run ingest-only and receive shipments as frames.
+        let policy = cfg.strategy.trains_locally().then(|| {
+            Box::new(LiveUpdatePolicy {
+                rounds_per_update: cfg.rounds_per_update,
+                batch_size: cfg.online_batch_size,
+            }) as Box<dyn UpdatePolicy>
+        });
         servers.push(ReplicaServer::start(
             node,
             cfg.runtime.clone(),
@@ -682,7 +677,6 @@ fn spawn_sync_thread(
         .expect("spawn sync thread"))
 }
 
-/// The control-plane loop: drain shadow traffic, tick on the cadence, ship frames.
 /// Whether a strategy's driver side keeps a shadow "training cluster" model.
 fn needs_shadow_trainer(strategy: StrategyKind) -> bool {
     matches!(
@@ -691,6 +685,7 @@ fn needs_shadow_trainer(strategy: StrategyKind) -> bool {
     )
 }
 
+/// The control-plane loop: drain shadow traffic, tick on the cadence, ship frames.
 fn run_sync_loop(
     mut conns: Vec<ControlConn>,
     cfg: &DistributedConfig,
@@ -779,10 +774,14 @@ fn run_sync_loop(
 /// One sparse LoRA synchronisation over sockets (Algorithm 3 as frames): gather each
 /// replica's support, compute the deterministic priority merge, pull winning rows from
 /// their owners, push them to everyone else, broadcast each touched table's `B` factor
-/// from its priority root, and publish. Returns the tick's wire bytes.
+/// from its priority root, and publish. Returns the tick's wire bytes. One replica has
+/// no peer to agree with and publishes its own update blocks, so it sends nothing.
 fn sparse_lora_sync_tick(conns: &mut [ControlConn]) -> u64 {
-    let before: u64 = conns.iter().map(|c| c.bytes).sum();
     let num_ranks = conns.len();
+    if num_ranks < 2 {
+        return 0;
+    }
+    let before: u64 = conns.iter().map(|c| c.bytes).sum();
     let mut sync = SparseLoraSync::new(num_ranks);
     for (rank, conn) in conns.iter_mut().enumerate() {
         match conn.call(&Frame::PullSupport) {
@@ -914,6 +913,116 @@ mod tests {
     use liveupdate_runtime::config::UpdateMode;
     use liveupdate_workload::WorkloadConfig;
 
+    /// Serve each node from a live update-disabled replica, run `tick` over one control
+    /// connection per replica, and return the tick's wire bytes and the nodes the
+    /// replicas hold after shutdown.
+    fn tick_on_replicas(
+        nodes: Vec<ServingNode>,
+        tick: impl FnOnce(&mut [ControlConn]) -> u64,
+    ) -> (u64, Vec<ServingNode>) {
+        let runtime = RuntimeConfig {
+            num_workers: 1,
+            update: UpdateMode::Disabled,
+            ..RuntimeConfig::default()
+        };
+        let servers: Vec<ReplicaServer> = nodes
+            .into_iter()
+            .map(|node| {
+                ReplicaServer::start(node, runtime.clone(), Duration::from_millis(50), None)
+                    .expect("start replica")
+            })
+            .collect();
+        let mut conns: Vec<ControlConn> = servers
+            .iter()
+            .map(|server| ControlConn {
+                stream: TcpStream::connect(server.addr()).expect("connect"),
+                bytes: 0,
+            })
+            .collect();
+        let bytes = tick(&mut conns);
+        for conn in &mut conns {
+            let _ = write_frame(&mut conn.stream, &Frame::Bye);
+        }
+        drop(conns);
+        (bytes, servers.into_iter().map(|s| s.shutdown().1).collect())
+    }
+
+    /// Every base and serving parameter of `wire` and `reference`, compared as bits.
+    fn assert_same_parameters(wire: &ServingNode, reference: &ServingNode, step: &str) {
+        let bits = |m: &DlrmModel| -> Vec<u64> {
+            m.export_parameters().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(wire.base_model()),
+            bits(reference.base_model()),
+            "base model after {step}"
+        );
+        assert_eq!(
+            bits(wire.serving_model()),
+            bits(reference.serving_model()),
+            "serving model after {step}"
+        );
+    }
+
+    /// The driver's parameter shipments are the only implementation of QuickUpdate and
+    /// DeltaUpdate; they must apply the in-process transfer rules exactly. One
+    /// `quick_rows_tick` equals `pull_top_changed_rows` + `apply_embedding_row_pull` on
+    /// a clone, and one `full_model_tick` equals `full_sync`.
+    #[test]
+    fn wire_parameter_shipments_match_the_in_process_pulls_bit_for_bit() {
+        let model = DlrmModel::new(DlrmConfig::tiny(2, 200, 8), 43);
+        let mut workload = SyntheticWorkload::new(WorkloadConfig {
+            num_tables: 2,
+            table_size: 200,
+            ..WorkloadConfig::default()
+        });
+        let traffic = workload.batch_at(0.0, 96);
+        // A node with live LoRA corrections, which shipped rows must keep on top.
+        let mut node = ServingNode::new(model.clone(), LiveUpdateConfig::default());
+        node.serve_batch(0.0, &traffic);
+        for round in 0..3 {
+            node.online_update_round(1.0 + f64::from(round), 32);
+        }
+        // The shadow "training cluster" learns from the same traffic.
+        let mut shadow = model.clone();
+        for chunk in traffic.chunks(32) {
+            shadow.train_batch(&chunk);
+        }
+        let mut reference = node.clone();
+
+        let mut last_shipped = model.clone();
+        let (bytes, nodes) = tick_on_replicas(vec![node], |conns| {
+            quick_rows_tick(conns, &shadow, &mut last_shipped, 0.1)
+        });
+        assert!(bytes > 0);
+        let mut reference_shipped = model.clone();
+        let pulled = reference_shipped.pull_top_changed_rows(&shadow, 0.1);
+        assert!(
+            pulled.iter().all(|rows| rows.len() == 20),
+            "10 % of 200 rows per table"
+        );
+        assert!(
+            pulled
+                .iter()
+                .enumerate()
+                .any(|(t, rows)| rows.iter().any(|&r| reference.loras()[t].is_active(r))),
+            "some shipped row carries a live LoRA correction"
+        );
+        for (table, rows) in pulled.iter().enumerate() {
+            for &row in rows {
+                reference.apply_embedding_row_pull(table, row, shadow.table(table).row(row));
+            }
+        }
+        assert_eq!(last_shipped, reference_shipped, "the driver's diff state");
+        assert_same_parameters(&nodes[0], &reference, "a quick tick");
+
+        let (bytes, nodes) = tick_on_replicas(nodes, |conns| full_model_tick(conns, &shadow));
+        assert!(bytes > 0);
+        reference.full_sync(shadow.clone());
+        assert_same_parameters(&nodes[0], &reference, "a full-model tick");
+        assert!(nodes[0].lora_support().is_empty(), "a full sync drops LoRA");
+    }
+
     /// The socket sync and the in-process merge are two implementations of Algorithm 3.
     /// Run on identical replicas, they must leave bit-identical state on the merged
     /// support: `A` rows, `B` factors, serving rows and predictions.
@@ -942,41 +1051,20 @@ mod tests {
         assert!(nodes.iter().all(|n| n.current_ranks() == ranks));
         let mut reference = nodes.clone();
 
-        // The wire: one update-disabled replica server per node, one sync tick.
-        let runtime = RuntimeConfig {
-            num_workers: 1,
-            update: UpdateMode::Disabled,
-            ..RuntimeConfig::default()
-        };
-        let servers: Vec<ReplicaServer> = nodes
-            .into_iter()
-            .map(|node| {
-                ReplicaServer::start(node, runtime.clone(), Duration::from_millis(50), None)
-                    .expect("start replica")
-            })
-            .collect();
-        let mut conns: Vec<ControlConn> = servers
-            .iter()
-            .map(|server| ControlConn {
-                stream: TcpStream::connect(server.addr()).expect("connect"),
-                bytes: 0,
-            })
-            .collect();
-        let mut sync = SparseLoraSync::new(conns.len());
-        for (rank, conn) in conns.iter_mut().enumerate() {
-            let Ok(Frame::Support { rows }) = conn.call(&Frame::PullSupport) else {
-                panic!("replica {rank} did not report its support");
-            };
-            for (table, row) in rows {
-                sync.record_update(rank, table as usize, row as usize);
+        // The wire: one sync tick, after gathering the support it will merge.
+        let mut sync = SparseLoraSync::new(nodes.len());
+        let (bytes, synced) = tick_on_replicas(nodes, |conns| {
+            for (rank, conn) in conns.iter_mut().enumerate() {
+                let Ok(Frame::Support { rows }) = conn.call(&Frame::PullSupport) else {
+                    panic!("replica {rank} did not report its support");
+                };
+                for (table, row) in rows {
+                    sync.record_update(rank, table as usize, row as usize);
+                }
             }
-        }
-        assert!(sparse_lora_sync_tick(&mut conns) > 0);
-        for conn in &mut conns {
-            let _ = write_frame(&mut conn.stream, &Frame::Bye);
-        }
-        drop(conns);
-        let synced: Vec<ServingNode> = servers.into_iter().map(|s| s.shutdown().1).collect();
+            sparse_lora_sync_tick(conns)
+        });
+        assert!(bytes > 0);
 
         // The reference: the in-process merge over the support the servers reported.
         let (_, plan) = sync.synchronize_peers(&mut reference);

@@ -44,11 +44,12 @@
 //!   load, execute the strategy's update traffic as real frames, and measure every byte
 //!   at the socket. [`driver::scrape_replica`] makes the monitoring round-trip a
 //!   one-liner: connect, send `Stats`, return the replica's flattened live telemetry.
-//! * [`backend`] — [`backend::DistributedBackend`], the multi-replica
-//!   [`ExecutionBackend`](liveupdate_scenario::ExecutionBackend): every
-//!   `scenarios/*.json` runs on sockets unchanged and reports into the same
-//!   [`ScenarioReport`](liveupdate_scenario::ScenarioReport) schema with
-//!   wire-measured sync bytes.
+//! * [`backend`] — [`backend::DistributedBackend`], the one measured
+//!   [`ExecutionBackend`](liveupdate_scenario::ExecutionBackend) at every replica
+//!   count: every `scenarios/*.json` runs on sockets unchanged and reports into the
+//!   same [`ScenarioReport`](liveupdate_scenario::ScenarioReport) schema with
+//!   wire-measured sync bytes. [`backend::all_backends`] is the registry of both
+//!   engines (analytic, distributed).
 //!
 //! The headline measurement this tier exists for: at N replicas, LiveUpdate's
 //! parameter-shipment traffic is **measured zero bytes on the wire** (its sparse LoRA
@@ -63,7 +64,7 @@ pub mod poll;
 pub mod server;
 pub mod wire;
 
-pub use backend::{all_backends_with_distributed, DistributedBackend};
+pub use backend::{all_backends, DistributedBackend};
 pub use client::MultiConnClient;
 pub use driver::{
     join_traces, run_distributed, scrape_cluster, scrape_replica, ClusterScrape, CrossNodeTrace,

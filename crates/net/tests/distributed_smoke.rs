@@ -6,7 +6,9 @@ use liveupdate::engine::ServingNode;
 use liveupdate::strategy::StrategyKind;
 use liveupdate_dlrm::model::{DlrmConfig, DlrmModel};
 use liveupdate_net::wire::{read_frame, write_frame, Frame, RowUpdate};
-use liveupdate_net::{run_distributed, DistributedBackend, DistributedConfig, ReplicaServer};
+use liveupdate_net::{
+    run_distributed, DistributedBackend, DistributedConfig, DistributedReport, ReplicaServer,
+};
 use liveupdate_runtime::config::{RuntimeConfig, UpdateMode};
 use liveupdate_runtime::policy::{LiveUpdatePolicy, UpdatePolicy};
 use liveupdate_scenario::{BackendKind, ExecutionBackend, Scenario, SyncProvenance};
@@ -418,13 +420,10 @@ fn distributed_backend_runs_a_scenario_on_sockets() {
     assert!(report.lora_memory_bytes.unwrap() > 0);
 }
 
-/// Exact accounting across teardown: the driver half-closes each data connection and
-/// drains it, so every offered request comes back as a reply or a shed — a reply lost
-/// after the half-close shows up here as a shortfall.
-#[test]
-fn run_distributed_answers_every_offered_request() {
+/// A short LiveUpdate run of `replicas` tiny replicas started from one checkpoint.
+fn run_tiny_live(replicas: usize) -> DistributedReport {
     let day1_model = DlrmModel::new(DlrmConfig::tiny(2, 200, 8), 31);
-    let nodes = (0..2)
+    let nodes = (0..replicas)
         .map(|_| ServingNode::new(day1_model.clone(), LiveUpdateConfig::default()))
         .collect();
     let mut workload = SyntheticWorkload::new(WorkloadConfig {
@@ -433,7 +432,7 @@ fn run_distributed_answers_every_offered_request() {
         ..WorkloadConfig::default()
     });
     let cfg = DistributedConfig {
-        replicas: 2,
+        replicas,
         routing: ShardPolicy::HashByUser,
         runtime: RuntimeConfig {
             num_workers: 1,
@@ -453,8 +452,17 @@ fn run_distributed_answers_every_offered_request() {
         seed: 3,
         sample_pool: 64,
     };
-    let (report, _nodes) =
-        run_distributed(nodes, &day1_model, &mut workload, &cfg).expect("distributed run");
+    run_distributed(nodes, &day1_model, &mut workload, &cfg)
+        .expect("distributed run")
+        .0
+}
+
+/// Exact accounting across teardown: the driver half-closes each data connection and
+/// drains it, so every offered request comes back as a reply or a shed — a reply lost
+/// after the half-close shows up here as a shortfall.
+#[test]
+fn run_distributed_answers_every_offered_request() {
+    let report = run_tiny_live(2);
     assert!(report.offered > 0, "the generator offered load");
     assert_eq!(
         report.replies + report.shed,
@@ -468,6 +476,26 @@ fn run_distributed_answers_every_offered_request() {
         report.latency.count(),
         report.completed,
         "the merged latency histogram holds one sample per completed request"
+    );
+}
+
+/// One replica has no peer to merge with: the driver's sync ticks send no frame, and
+/// every epoch the replica publishes comes from one of its own update blocks.
+#[test]
+fn one_replica_liveupdate_sends_no_sync_frames() {
+    let report = run_tiny_live(1);
+    assert!(report.sync_ticks > 0, "the sync cadence ticked");
+    assert_eq!(report.lora_sync_bytes, 0, "no LoRA exchange at N=1");
+    assert_eq!(report.param_sync_bytes, 0, "LiveUpdate ships no parameters");
+    let updater = &report.per_replica[0].updater;
+    assert!(
+        updater.publications > 0,
+        "the replica's own blocks published"
+    );
+    assert_eq!(
+        updater.publications,
+        updater.round_times_ms.len() as u64,
+        "one publication per update block, none from sync frames"
     );
 }
 

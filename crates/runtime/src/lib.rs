@@ -36,9 +36,10 @@
 //! * **Updating** (the private `updater` thread + [`policy`]) — the co-located trainer:
 //!   owns the only mutable [`liveupdate::engine::ServingNode`], ingests served traffic
 //!   into the retention buffer, and on each wall-clock cadence tick runs the mounted
-//!   [`policy::UpdatePolicy`] — LiveUpdate LoRA rounds by default, or the QuickUpdate /
-//!   DeltaUpdate parameter-shipping baselines for real-contention comparisons — then
-//!   publishes.
+//!   [`policy::UpdatePolicy`] (LiveUpdate LoRA rounds), then publishes. The
+//!   parameter-shipping baselines run ingest-only here and take their rows or whole
+//!   models as frames from `liveupdate_net`'s driver, which trains their shadow model
+//!   off the serving node.
 //! * **Routing** ([`router`]) — submission is keyed by the request: the lock-free
 //!   [`router::Router`] (hash-by-user or round-robin, per
 //!   [`config::RuntimeConfig::routing`]) picks the worker queue, so callers never choose
@@ -105,10 +106,7 @@ pub use batcher::BatcherConfig;
 pub use config::{RuntimeConfig, UpdateMode};
 pub use epoch::{EpochPublisher, EpochReader};
 pub use loadgen::{run_open_loop, LoadGenConfig, LoadGenReport};
-pub use policy::{
-    policy_for_strategy, DeltaUpdatePolicy, LiveUpdatePolicy, PolicyTick, QuickUpdatePolicy,
-    UpdatePolicy,
-};
+pub use policy::{LiveUpdatePolicy, UpdatePolicy};
 pub use report::{RuntimeReport, UpdaterReport, WorkerReport};
 pub use request::Request;
 pub use router::Router;

@@ -1,73 +1,31 @@
 //! Pluggable update policies for the background updater thread.
 //!
-//! PR 3 hardwired the updater to a LiveUpdate-style loop (`online_update_round` →
-//! publish). This module extracts that decision behind the [`UpdatePolicy`] trait so the
-//! paper's whole strategy taxonomy ([`StrategyKind`]) runs on real threads: the updater
-//! thread owns the authoritative [`ServingNode`], feeds every ingested batch to the
-//! policy, and on each wall-clock cadence tick asks the policy to mutate the node —
-//! publishing a fresh epoch-swapped snapshot whenever the policy says so.
+//! The [`UpdatePolicy`] trait is the decision the updater thread runs on each
+//! wall-clock cadence tick: the thread owns the authoritative [`ServingNode`], folds
+//! every ingested batch into its retention buffer, and on each tick asks the policy to
+//! mutate the node, then publishes a fresh epoch-swapped snapshot.
 //!
 //! * [`LiveUpdatePolicy`] — the paper's system: inference-side LoRA rounds over the
 //!   retention buffer, one publication per update block (near-zero overhead: no
 //!   parameter shipment, only CPU-cycle stealing).
-//! * [`DeltaUpdatePolicy`] — industry baseline: a shadow "training cluster" model learns
-//!   from the ingested traffic and the node takes a **full-model** sync every tick — the
-//!   timer-driven full-model epoch swap.
-//! * [`QuickUpdatePolicy`] — state-of-the-art baseline: same shadow trainer, but only
-//!   the top `fraction` of rows by parameter change is pulled per tick
-//!   ([`ServingNode::partial_sync`]), with a periodic full sync to bound drift.
 //!
 //! `NoUpdate` is represented by running the updater with no policy at all (ingest-only,
-//! the baseline arm of the interference measurement).
+//! the baseline arm of the interference measurement). The parameter-shipping baselines
+//! (QuickUpdate, DeltaUpdate) train on a separate cluster in the paper, so they have no
+//! policy here: the `liveupdate_net` driver trains their shadow model and ships rows or
+//! whole models to ingest-only replicas as wire frames.
 
 use liveupdate::engine::ServingNode;
-use liveupdate::strategy::StrategyKind;
-use liveupdate_dlrm::model::DlrmModel;
-use liveupdate_dlrm::sample::MiniBatch;
-
-/// What one cadence tick of a policy did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PolicyTick {
-    /// Update events performed in this block (training rounds or sync pulls).
-    pub rounds: u64,
-    /// Whether the runtime must publish a fresh snapshot of the node.
-    pub publish: bool,
-    /// Parameters shipped from a shadow trainer into the node (0 for local-training
-    /// policies — that absence is the paper's core claim). Full-model syncs count every
-    /// parameter (embeddings *and* MLPs); partial syncs count the pulled rows' values.
-    pub params_pulled: u64,
-}
 
 /// A strategy for refreshing the authoritative [`ServingNode`] while it serves.
 ///
-/// Implementations run entirely on the updater thread: `observe` sees every served batch
-/// right after it enters the node's retention buffer, and `update_block` fires once per
-/// configured wall-clock interval. The runtime publishes `node.snapshot()` through the
-/// epoch swap whenever `update_block` returns `publish: true`, so a policy never touches
-/// the publication machinery itself.
+/// Implementations run entirely on the updater thread: `update_block` fires once per
+/// configured wall-clock interval, and the runtime publishes `node.snapshot()` through
+/// the epoch swap after every block, so a policy never touches the publication
+/// machinery itself.
 pub trait UpdatePolicy: Send {
-    /// Short name for reports (matches [`StrategyKind::name`] where applicable).
-    fn name(&self) -> String;
-
-    /// Observe one ingested batch (already folded into the node's retention buffer).
-    /// Parameter-shipping baselines train their shadow model here; the default is a
-    /// no-op.
-    fn observe(&mut self, time_minutes: f64, batch: &MiniBatch) {
-        let _ = (time_minutes, batch);
-    }
-
-    /// One cadence tick on the authoritative node.
-    fn update_block(&mut self, node: &mut ServingNode, now_minutes: f64) -> PolicyTick;
-}
-
-/// Train `model` on `batch` split into mini-batches of `batch_size` (the same chunking
-/// rule the analytic experiment driver uses for its training cluster).
-fn train_on(model: &mut DlrmModel, batch: &MiniBatch, batch_size: usize) {
-    for chunk in batch.chunks(batch_size.max(1)) {
-        if !chunk.is_empty() {
-            model.train_batch(&chunk);
-        }
-    }
+    /// One cadence tick on the authoritative node; returns the update rounds it ran.
+    fn update_block(&mut self, node: &mut ServingNode, now_minutes: f64) -> u64;
 }
 
 /// The paper's policy: LoRA rounds over the node's retention buffer, publish each block.
@@ -80,155 +38,11 @@ pub struct LiveUpdatePolicy {
 }
 
 impl UpdatePolicy for LiveUpdatePolicy {
-    fn name(&self) -> String {
-        StrategyKind::LiveUpdate.name()
-    }
-
-    fn update_block(&mut self, node: &mut ServingNode, now_minutes: f64) -> PolicyTick {
-        let mut rounds = 0u64;
+    fn update_block(&mut self, node: &mut ServingNode, now_minutes: f64) -> u64 {
         for _ in 0..self.rounds_per_update {
             node.online_update_round(now_minutes, self.batch_size);
-            rounds += 1;
         }
-        PolicyTick {
-            rounds,
-            publish: true,
-            params_pulled: 0,
-        }
-    }
-}
-
-/// Industry baseline on real threads: a shadow training model learns from ingested
-/// traffic; every tick the node takes a full-model sync and a full snapshot is published.
-#[derive(Debug, Clone)]
-pub struct DeltaUpdatePolicy {
-    training: DlrmModel,
-    training_batch_size: usize,
-}
-
-impl DeltaUpdatePolicy {
-    /// Start from `training` (normally a clone of the node's Day-1 checkpoint).
-    #[must_use]
-    pub fn new(training: DlrmModel, training_batch_size: usize) -> Self {
-        Self {
-            training,
-            training_batch_size,
-        }
-    }
-}
-
-impl UpdatePolicy for DeltaUpdatePolicy {
-    fn name(&self) -> String {
-        StrategyKind::DeltaUpdate.name()
-    }
-
-    fn observe(&mut self, _time_minutes: f64, batch: &MiniBatch) {
-        train_on(&mut self.training, batch, self.training_batch_size);
-    }
-
-    fn update_block(&mut self, node: &mut ServingNode, _now_minutes: f64) -> PolicyTick {
-        // A full-model sync ships every parameter, dense layers included.
-        let params = self.training.parameter_count() as u64;
-        node.full_sync(self.training.clone());
-        PolicyTick {
-            rounds: 1,
-            publish: true,
-            params_pulled: params,
-        }
-    }
-}
-
-/// State-of-the-art baseline on real threads: shadow trainer plus partial-row pulls, with
-/// a periodic full sync (every `full_sync_every` ticks) to bound drift.
-#[derive(Debug, Clone)]
-pub struct QuickUpdatePolicy {
-    training: DlrmModel,
-    training_batch_size: usize,
-    fraction: f64,
-    full_sync_every: usize,
-    ticks: usize,
-}
-
-impl QuickUpdatePolicy {
-    /// Start from `training` with the QuickUpdate transfer `fraction`; a full sync runs
-    /// every `full_sync_every` ticks (0 disables full syncs).
-    #[must_use]
-    pub fn new(
-        training: DlrmModel,
-        training_batch_size: usize,
-        fraction: f64,
-        full_sync_every: usize,
-    ) -> Self {
-        Self {
-            training,
-            training_batch_size,
-            fraction,
-            full_sync_every,
-            ticks: 0,
-        }
-    }
-}
-
-impl UpdatePolicy for QuickUpdatePolicy {
-    fn name(&self) -> String {
-        StrategyKind::QuickUpdate {
-            fraction: self.fraction,
-        }
-        .name()
-    }
-
-    fn observe(&mut self, _time_minutes: f64, batch: &MiniBatch) {
-        train_on(&mut self.training, batch, self.training_batch_size);
-    }
-
-    fn update_block(&mut self, node: &mut ServingNode, _now_minutes: f64) -> PolicyTick {
-        self.ticks += 1;
-        let params_pulled =
-            if self.full_sync_every > 0 && self.ticks.is_multiple_of(self.full_sync_every) {
-                node.full_sync(self.training.clone());
-                self.training.parameter_count() as u64
-            } else {
-                let dim = self.training.config().embedding_dim as u64;
-                node.partial_sync(&self.training, self.fraction) as u64 * dim
-            };
-        PolicyTick {
-            rounds: 1,
-            publish: true,
-            params_pulled,
-        }
-    }
-}
-
-/// Map a [`StrategyKind`] onto the update policy that realises it on real threads.
-/// `NoUpdate` maps to `None`: the updater runs ingest-only (the baseline interference
-/// arm). `day1_model` seeds the shadow trainer of the parameter-shipping baselines.
-#[must_use]
-pub fn policy_for_strategy(
-    strategy: StrategyKind,
-    day1_model: &DlrmModel,
-    rounds_per_update: usize,
-    online_batch_size: usize,
-    training_batch_size: usize,
-    full_sync_every_ticks: usize,
-) -> Option<Box<dyn UpdatePolicy>> {
-    match strategy {
-        StrategyKind::NoUpdate => None,
-        StrategyKind::DeltaUpdate => Some(Box::new(DeltaUpdatePolicy::new(
-            day1_model.clone(),
-            training_batch_size,
-        ))),
-        StrategyKind::QuickUpdate { fraction } => Some(Box::new(QuickUpdatePolicy::new(
-            day1_model.clone(),
-            training_batch_size,
-            fraction,
-            full_sync_every_ticks,
-        ))),
-        StrategyKind::LiveUpdate | StrategyKind::LiveUpdateFixedRank { .. } => {
-            Some(Box::new(LiveUpdatePolicy {
-                rounds_per_update,
-                batch_size: online_batch_size,
-            }))
-        }
+        self.rounds_per_update as u64
     }
 }
 
@@ -236,86 +50,24 @@ pub fn policy_for_strategy(
 mod tests {
     use super::*;
     use liveupdate::config::LiveUpdateConfig;
-    use liveupdate_dlrm::model::DlrmConfig;
+    use liveupdate_dlrm::model::{DlrmConfig, DlrmModel};
     use liveupdate_workload::{SyntheticWorkload, WorkloadConfig};
 
-    fn model(seed: u64) -> DlrmModel {
-        DlrmModel::new(DlrmConfig::tiny(2, 120, 8), seed)
-    }
-
-    fn traffic(n: usize) -> MiniBatch {
-        let mut w = SyntheticWorkload::new(WorkloadConfig {
+    #[test]
+    fn liveupdate_policy_trains_the_node_and_publishes() {
+        let model = DlrmModel::new(DlrmConfig::tiny(2, 120, 8), 1);
+        let mut node = ServingNode::new(model, LiveUpdateConfig::default());
+        let mut workload = SyntheticWorkload::new(WorkloadConfig {
             num_tables: 2,
             table_size: 120,
             ..WorkloadConfig::default()
         });
-        w.batch_at(0.0, n)
-    }
-
-    #[test]
-    fn liveupdate_policy_trains_the_node_and_publishes() {
-        let mut node = ServingNode::new(model(1), LiveUpdateConfig::default());
-        node.serve_batch(0.0, &traffic(64));
+        node.serve_batch(0.0, &workload.batch_at(0.0, 64));
         let mut policy = LiveUpdatePolicy {
             rounds_per_update: 2,
             batch_size: 32,
         };
-        let tick = policy.update_block(&mut node, 1.0);
-        assert_eq!(tick.rounds, 2);
-        assert!(tick.publish);
-        assert_eq!(tick.params_pulled, 0, "LiveUpdate ships no parameters");
+        assert_eq!(policy.update_block(&mut node, 1.0), 2);
         assert_eq!(node.steps(), 2);
-    }
-
-    #[test]
-    fn delta_policy_replaces_the_whole_model() {
-        let mut node = ServingNode::new(model(1), LiveUpdateConfig::default());
-        let mut policy = DeltaUpdatePolicy::new(model(1), 32);
-        let batch = traffic(96);
-        policy.observe(0.0, &batch);
-        let before = node.serving_model().table(0).row(0).to_vec();
-        let tick = policy.update_block(&mut node, 1.0);
-        assert!(tick.publish);
-        // The whole model moves: embeddings *and* the dense layers.
-        assert_eq!(tick.params_pulled, model(1).parameter_count() as u64);
-        assert!(
-            tick.params_pulled > 2 * 120 * 8,
-            "must exceed the embedding rows alone"
-        );
-        // The shadow trainer learned, so a full sync moves parameters.
-        assert_ne!(node.serving_model().table(0).row(0), &before[..]);
-    }
-
-    #[test]
-    fn quick_policy_pulls_a_fraction_then_fully_syncs() {
-        let mut node = ServingNode::new(model(1), LiveUpdateConfig::default());
-        let mut policy = QuickUpdatePolicy::new(model(1), 32, 0.1, 2);
-        policy.observe(0.0, &traffic(96));
-        let first = policy.update_block(&mut node, 1.0);
-        // 10 % of 120 rows per table, 2 tables, dim 8 values per row.
-        assert_eq!(first.params_pulled, 24 * 8);
-        let second = policy.update_block(&mut node, 2.0);
-        assert_eq!(
-            second.params_pulled,
-            model(1).parameter_count() as u64,
-            "every 2nd tick is a full sync"
-        );
-    }
-
-    #[test]
-    fn strategy_mapping_covers_the_taxonomy() {
-        let m = model(3);
-        assert!(policy_for_strategy(StrategyKind::NoUpdate, &m, 1, 32, 32, 4).is_none());
-        let named = |s: StrategyKind| policy_for_strategy(s, &m, 1, 32, 32, 4).unwrap().name();
-        assert_eq!(named(StrategyKind::LiveUpdate), "LiveUpdate");
-        assert_eq!(named(StrategyKind::DeltaUpdate), "DeltaUpdate");
-        assert_eq!(
-            named(StrategyKind::QuickUpdate { fraction: 0.05 }),
-            "QuickUpdate-5%"
-        );
-        assert_eq!(
-            named(StrategyKind::LiveUpdateFixedRank { rank: 8 }),
-            "LiveUpdate"
-        );
     }
 }

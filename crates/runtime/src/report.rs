@@ -29,13 +29,10 @@ pub struct UpdaterReport {
     pub ingested_batches: u64,
     /// Requests contained in those batches.
     pub ingested_requests: u64,
-    /// Update events performed by the active policy (training rounds or sync pulls).
+    /// Update rounds performed by the active policy.
     pub update_rounds: u64,
     /// Snapshot publications (epoch swaps).
     pub publications: u64,
-    /// Parameters shipped from a shadow trainer into the node (QuickUpdate /
-    /// DeltaUpdate policies; 0 for LiveUpdate — the paper's near-zero-shipment claim).
-    pub params_pulled: u64,
     /// Wall-clock milliseconds of each published update block (train + capture + swap).
     pub round_times_ms: Vec<f64>,
     /// `(epoch, checksum)` of every published snapshot, including the initial epoch 0.
@@ -164,7 +161,7 @@ pub struct StageLatency {
 /// Extract the per-stage latency breakdown from flattened telemetry rows — the shared
 /// reader for `RuntimeReport`, `DistributedReport`, and `ScenarioReport`, all of which
 /// carry the same `stage_*_us_{p50,p99,count}` row names (scraped live on the
-/// realtime/distributed backends, synthesized by the analytic engine). Stages
+/// distributed backend, synthesized by the analytic engine). Stages
 /// with no recorded samples are omitted.
 #[must_use]
 pub fn stage_breakdown(rows: &[(String, f64)]) -> Vec<StageLatency> {

@@ -68,9 +68,8 @@ impl ServingRuntime {
     /// Start the runtime serving `node`'s current state. The update arrangement comes
     /// from `cfg.update`: `Background` runs the LiveUpdate policy on the updater thread,
     /// `Disabled` runs ingest-only, `Synchronous` is the deterministic single-threaded
-    /// reference mode. To run a *different* update strategy on the updater thread (the
-    /// paper's QuickUpdate / DeltaUpdate baselines under real contention), use
-    /// [`Self::start_with_policy`].
+    /// reference mode. To mount an explicit [`UpdatePolicy`] (or none) at a chosen
+    /// cadence, use [`Self::start_with_policy`].
     ///
     /// # Panics
     ///

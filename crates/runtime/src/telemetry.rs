@@ -11,7 +11,7 @@
 //!
 //! # Metric names
 //!
-//! Every execution backend (analytic, realtime, distributed) reports the same
+//! Every execution backend (analytic, distributed) reports the same
 //! metric names in its `ScenarioReport::telemetry` section, so dashboards and tests
 //! compare like with like. Histograms flatten to `<name>_p50` / `<name>_p99` /
 //! `<name>_count` rows. The one table of those names is the Observability table in

@@ -2,10 +2,9 @@
 //!
 //! The updater owns the *authoritative* [`ServingNode`]: the only mutable model state in
 //! the whole runtime. It drains served traffic from the ingest channel into the node's
-//! retention buffer (and into the active [`UpdatePolicy`]'s view) and, on a wall-clock
-//! cadence, asks the policy for one update block on that shadow state — publishing the
-//! result as an immutable snapshot through the epoch swap whenever the policy requests
-//! it. Serving therefore contends with updating only for CPU cycles — never for a lock —
+//! retention buffer and, on a wall-clock cadence, asks the active [`UpdatePolicy`] for
+//! one update block on that shadow state — publishing the result as an immutable
+//! snapshot through the epoch swap. Serving therefore contends with updating only for CPU cycles — never for a lock —
 //! which is exactly the "near-zero overhead" property the interference measurement in
 //! `examples/live_serving.rs` quantifies. With no policy installed (`NoUpdate` /
 //! `UpdateMode::Disabled`) the thread only drains the channel: the baseline arm keeps
@@ -119,9 +118,6 @@ pub(crate) fn run_updater(
                 report.ingested_batches += 1;
                 report.ingested_requests += ingest.batch.len() as u64;
                 node.ingest_batch(ingest.time_minutes, &ingest.batch);
-                if let Some(policy) = params.policy.as_mut() {
-                    policy.observe(ingest.time_minutes, &ingest.batch);
-                }
             }
             Ok(UpdaterMsg::Command(command)) => {
                 (command.run)(&mut node);
@@ -136,16 +132,13 @@ pub(crate) fn run_updater(
         if let Some(policy) = params.policy.as_mut() {
             if last_update.elapsed() >= params.interval {
                 let round_started = Instant::now();
-                let tick = policy.update_block(&mut node, node_time);
-                report.update_rounds += tick.rounds;
-                report.params_pulled += tick.params_pulled;
-                if tick.publish {
-                    publish_snapshot(&node, publisher, &mut report, telemetry);
-                }
+                let rounds = policy.update_block(&mut node, node_time);
+                report.update_rounds += rounds;
+                publish_snapshot(&node, publisher, &mut report, telemetry);
                 let round_ms = round_started.elapsed().as_secs_f64() * 1e3;
                 report.round_times_ms.push(round_ms);
                 if let Some(tel) = telemetry {
-                    tel.update_rounds.add(tick.rounds);
+                    tel.update_rounds.add(rounds);
                     tel.update_round_us.record(round_ms * 1e3);
                 }
                 last_update = Instant::now();

@@ -1,9 +1,9 @@
-//! # liveupdate_scenario — one experiment description, many execution engines
+//! # liveupdate_scenario — one experiment description, two execution engines
 //!
-//! The repo has several ways to "run the paper" — the analytic timeline
-//! (`liveupdate::experiment`), the real multithreaded runtime (`liveupdate_runtime`) and
-//! the TCP replica tier (`liveupdate_net`) — and each had its own config struct and
-//! result type. This crate is the unifying layer:
+//! The repo has two ways to "run the paper" — the analytic timeline
+//! (`liveupdate::experiment`) and the TCP replica tier (`liveupdate_net`, real-thread
+//! `liveupdate_runtime` replicas behind sockets) — and each had its own config struct
+//! and result type. This crate is the unifying layer:
 //!
 //! ```text
 //!                         ┌──────────────────────────┐
@@ -12,15 +12,14 @@
 //!                         │ policy · horizon · rt    │
 //!                         └────────────┬─────────────┘
 //!                                      │ ExecutionBackend::run
-//!              ┌───────────────────────┼────────────────────────┐
-//!              ▼                       ▼                        ▼
-//!     AnalyticBackend           RealtimeBackend        DistributedBackend
-//!   (prequential windowed   (std::thread workers,    (liveupdate_net: N TCP
-//!    accuracy timeline)      open-loop Poisson load,  replicas, sync traffic
-//!                            UpdatePolicy on the      measured on the wire)
-//!                            updater thread)
-//!              │                       │                        │
-//!              └───────────────────────┼────────────────────────┘
+//!                         ┌────────────┴─────────────┐
+//!                         ▼                          ▼
+//!                 AnalyticBackend           DistributedBackend
+//!              (prequential windowed      (liveupdate_net: N TCP replicas,
+//!               accuracy timeline)         real-thread workers + updater,
+//!                                          sync traffic measured on the wire)
+//!                         │                          │
+//!                         └────────────┬─────────────┘
 //!                                      ▼
 //!                         ┌──────────────────────────┐
 //!                         │      ScenarioReport      │  one schema: AUC timeline,
@@ -32,9 +31,9 @@
 //!   ([`scenario::Scenario::from_file`]), so new experiments are data, not code. The
 //!   workspace's vendored `serde` is marker-only; scenarios ship their own small codec
 //!   ([`json`]).
-//! * [`backend::ExecutionBackend`] — the engine trait; [`backend::all_backends`] lists
-//!   the in-process implementations (`liveupdate_net::all_backends_with_distributed`
-//!   appends the TCP engine).
+//! * [`backend::ExecutionBackend`] — the engine trait, implemented here by
+//!   [`backend::AnalyticBackend`]. The registry of both engines is
+//!   `liveupdate_net::all_backends`, since the measured engine lives in that crate.
 //! * [`report::ScenarioReport`] — the unified result schema (fields an engine cannot
 //!   observe stay `None` rather than being fabricated).
 //!
@@ -66,7 +65,7 @@ pub mod json;
 pub mod report;
 pub mod scenario;
 
-pub use backend::{all_backends, AnalyticBackend, ExecutionBackend, RealtimeBackend};
+pub use backend::{AnalyticBackend, ExecutionBackend};
 pub use report::{auc_agreement, BackendKind, ScenarioReport, SyncProvenance};
 pub use scenario::{
     HorizonSpec, PolicySpec, RealtimeSpec, Scenario, ScenarioError, TopologySpec, WorkloadSpec,

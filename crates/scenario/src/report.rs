@@ -2,9 +2,9 @@
 //!
 //! One [`ScenarioReport`] holds the union of what the engines can measure; fields an
 //! engine cannot observe are `None`/empty rather than fabricated. The analytic backend
-//! fills the freshness timeline and the paper's analytic update cost; the real-thread
-//! backend adds wall-clock QPS, latency percentiles, and the epoch-swap publication
-//! history; the TCP backend adds sync traffic measured at the socket.
+//! fills the freshness timeline and the paper's analytic update cost; the distributed
+//! backend adds wall-clock QPS, latency percentiles, the epoch-swap publication
+//! history, and sync traffic measured at the socket.
 
 use liveupdate::experiment::TimelinePoint;
 use serde::{Deserialize, Serialize};
@@ -14,8 +14,6 @@ use serde::{Deserialize, Serialize};
 pub enum BackendKind {
     /// The analytic single-node timeline (`liveupdate::experiment`).
     Analytic,
-    /// The real multithreaded runtime (`liveupdate_runtime`).
-    Realtime,
     /// The TCP multi-replica tier (`liveupdate_net`): N replica servers on localhost
     /// sockets, sync traffic measured on the wire.
     Distributed,
@@ -27,22 +25,19 @@ impl BackendKind {
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::Analytic => "analytic",
-            BackendKind::Realtime => "realtime",
             BackendKind::Distributed => "distributed",
         }
     }
 }
 
 /// How a report's synchronisation-byte numbers were obtained. The backends count "sync
-/// bytes" their own way (analytic projection, whole parameters counted in-process, frame
-/// lengths at a socket), so every report says explicitly where its bytes came from and
+/// bytes" their own way (analytic projection, frame lengths at a socket), so every
+/// report says explicitly where its bytes came from and
 /// `scenario_compare` can label columns instead of silently mixing provenances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SyncProvenance {
     /// Projected from the paper's analytic cost model (no traffic ever existed).
     AnalyticModel,
-    /// Whole parameters counted as they moved between threads of one process.
-    CountedInProcess,
     /// Bytes counted at a real socket (frame lengths summed at send/receive).
     MeasuredWire,
 }
@@ -53,7 +48,6 @@ impl SyncProvenance {
     pub fn label(&self) -> &'static str {
         match self {
             SyncProvenance::AnalyticModel => "analytic",
-            SyncProvenance::CountedInProcess => "counted",
             SyncProvenance::MeasuredWire => "wire",
         }
     }
@@ -69,29 +63,27 @@ pub struct ScenarioReport {
     /// Human-readable strategy name ([`liveupdate::strategy::StrategyKind::name`]).
     pub strategy: String,
     /// Prequential freshness timeline (per-window AUC/log-loss). Empty on the
-    /// real-thread backend, whose accuracy fields are end-of-run evaluations instead.
+    /// distributed backend, whose accuracy fields are end-of-run evaluations instead.
     pub timeline: Vec<TimelinePoint>,
     /// Mean AUC. Prequential mean for analytic; end-of-run held-out AUC of the final
-    /// published model for realtime and distributed.
+    /// published model for distributed.
     pub mean_auc: Option<f64>,
     /// Mean log loss (same provenance as `mean_auc`).
     pub mean_logloss: Option<f64>,
     /// Requests served to completion.
     pub requests_served: u64,
-    /// Requests shed by bounded queues (realtime only; 0 elsewhere).
+    /// Requests shed by bounded queues (distributed only; 0 elsewhere).
     pub dropped: u64,
-    /// Measured wall-clock throughput (realtime only).
+    /// Measured wall-clock throughput (distributed only).
     pub qps: Option<f64>,
-    /// Measured P50 latency in milliseconds (realtime only).
+    /// Measured P50 latency in milliseconds (distributed only).
     pub p50_latency_ms: Option<f64>,
-    /// Measured P99 latency in milliseconds (realtime only).
+    /// Measured P99 latency in milliseconds (distributed only).
     pub p99_latency_ms: Option<f64>,
     /// Update events performed (training rounds or sync pulls, per the strategy).
     pub update_events: u64,
-    /// Snapshot publications (epoch swaps on realtime and distributed).
+    /// Snapshot publications (epoch swaps, distributed only).
     pub publications: u64,
-    /// Mean wall-clock milliseconds per update block (realtime only).
-    pub mean_update_ms: Option<f64>,
     /// The paper's analytic per-hour update cost for this strategy/cadence, minutes.
     pub update_cost_minutes_per_hour: f64,
     /// **Parameter-shipment** bytes over the horizon: what the training cluster pushed
@@ -101,17 +93,17 @@ pub struct ScenarioReport {
     pub sync_bytes: u64,
     /// **Sparse LoRA exchange** bytes between replicas (Algorithm 3 traffic): the `A`
     /// rows and `B` factors replicas swap so corrections agree on the exchanged
-    /// support. Zero for parameter-pull strategies and for single-node backends.
+    /// support. Zero for parameter-pull strategies and at one replica.
     pub lora_sync_bytes: u64,
     /// Where `sync_bytes` / `lora_sync_bytes` came from.
     pub sync_provenance: SyncProvenance,
-    /// `(epoch, checksum)` publication history (realtime only).
+    /// `(epoch, checksum)` publication history of replica 0 (distributed only).
     pub publication_history: Vec<(u64, u64)>,
     /// Final LoRA adapter memory in bytes (local-training strategies only).
     pub lora_memory_bytes: Option<u64>,
     /// Flattened telemetry rows `(name, value)`, sorted by name, using the shared
     /// metric-name contract (`serve_requests_total`, `publications_total`,
-    /// `serve_latency_us_p99`, …). Realtime and distributed backends scrape them
+    /// `serve_latency_us_p99`, …). The distributed backend scrapes them
     /// from the live registry; analytic synthesizes the same names from its own
     /// accounting so dashboards read one schema across every engine.
     #[serde(default)]
@@ -136,7 +128,6 @@ impl ScenarioReport {
             p99_latency_ms: None,
             update_events: 0,
             publications: 0,
-            mean_update_ms: None,
             update_cost_minutes_per_hour: 0.0,
             sync_bytes: 0,
             lora_sync_bytes: 0,
@@ -274,8 +265,8 @@ impl ScenarioReport {
 }
 
 /// Absolute difference of the two reports' mean AUC, when both backends report one —
-/// the realtime-vs-distributed (and analytic-vs-real) agreement number the parity tests
-/// pin.
+/// the analytic-vs-distributed (or N-vs-N replicas) agreement number comparisons
+/// report.
 #[must_use]
 pub fn auc_agreement(a: &ScenarioReport, b: &ScenarioReport) -> Option<f64> {
     match (a.mean_auc, b.mean_auc) {
@@ -291,14 +282,12 @@ mod tests {
     #[test]
     fn backend_names_are_stable() {
         assert_eq!(BackendKind::Analytic.name(), "analytic");
-        assert_eq!(BackendKind::Realtime.name(), "realtime");
         assert_eq!(BackendKind::Distributed.name(), "distributed");
     }
 
     #[test]
     fn provenance_labels_are_stable() {
         assert_eq!(SyncProvenance::AnalyticModel.label(), "analytic");
-        assert_eq!(SyncProvenance::CountedInProcess.label(), "counted");
         assert_eq!(SyncProvenance::MeasuredWire.label(), "wire");
     }
 
@@ -323,14 +312,14 @@ mod tests {
 
     #[test]
     fn metric_rows_are_prefixed_and_sanitised() {
-        let mut r = ScenarioReport::new("s", BackendKind::Realtime, "QuickUpdate-5%");
+        let mut r = ScenarioReport::new("s", BackendKind::Distributed, "QuickUpdate-5%");
         r.qps = Some(100.0);
         r.p99_latency_ms = Some(2.0);
         r.mean_auc = Some(0.6);
         let rows = r.metric_rows();
         assert!(rows
             .iter()
-            .all(|(n, _, _)| n.starts_with("realtime_quickupdate5_")));
+            .all(|(n, _, _)| n.starts_with("distributed_quickupdate5_")));
         assert!(rows.iter().any(|(n, _, _)| n.ends_with("_qps")));
         assert!(rows.iter().any(|(n, _, _)| n.ends_with("_p99")));
     }
@@ -338,7 +327,7 @@ mod tests {
     #[test]
     fn agreement_requires_both_aucs() {
         let mut a = ScenarioReport::new("s", BackendKind::Analytic, "LiveUpdate");
-        let mut b = ScenarioReport::new("s", BackendKind::Realtime, "LiveUpdate");
+        let mut b = ScenarioReport::new("s", BackendKind::Distributed, "LiveUpdate");
         assert_eq!(auc_agreement(&a, &b), None);
         a.mean_auc = Some(0.7);
         b.mean_auc = Some(0.65);

@@ -90,10 +90,10 @@ pub struct WorkloadSpec {
 /// Serving topology: replica/worker counts, queue depths, batching, routing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TopologySpec {
-    /// Serving replicas: TCP replica servers on the distributed backend. The in-process
-    /// backends run one node.
+    /// Serving replicas: TCP replica servers on the distributed backend. The analytic
+    /// backend runs one node.
     pub replicas: usize,
-    /// Worker (inference) threads of the real-thread backend.
+    /// Worker (inference) threads per replica of the distributed backend.
     pub workers: usize,
     /// Bounded request-queue capacity per worker.
     pub queue_capacity: usize,
@@ -149,8 +149,7 @@ pub struct RealtimeSpec {
     /// Update rounds per cadence tick (LiveUpdate policy).
     pub rounds_per_update: usize,
     /// Request-trace sampling rate in `0.0..=1.0` (deterministic hash sampler; feeds
-    /// the `stage_*_us` latency-breakdown histograms on the realtime and distributed
-    /// backends). The default traces 1 in 100 requests, production style.
+    /// the `stage_*_us` latency-breakdown histograms on the distributed backend). The default traces 1 in 100 requests, production style.
     pub trace_sample_rate: f64,
 }
 
@@ -181,7 +180,7 @@ pub struct Scenario {
     pub policy: PolicySpec,
     /// Horizon and evaluation protocol.
     pub horizon: HorizonSpec,
-    /// Real-thread knobs.
+    /// Wall-clock knobs of the distributed backend.
     pub realtime: RealtimeSpec,
 }
 
@@ -322,7 +321,7 @@ impl Scenario {
     /// pin the rank; everything else uses the paper defaults), with the scenario's
     /// serving-storage and hot-row-cache knobs applied — this is the single funnel
     /// through which every backend builds its serving nodes, so quantized serving works
-    /// identically on the analytic, realtime and distributed engines.
+    /// identically on the analytic and distributed engines.
     #[must_use]
     pub fn liveupdate_config(&self) -> LiveUpdateConfig {
         let mut cfg = match self.policy.strategy {
@@ -381,7 +380,7 @@ impl Scenario {
         }
     }
 
-    /// Project the scenario onto the real-thread backend's [`RuntimeConfig`].
+    /// Project the scenario onto each distributed replica's [`RuntimeConfig`].
     #[must_use]
     pub fn runtime_config(&self) -> RuntimeConfig {
         let update = match self.policy.strategy {
@@ -404,8 +403,8 @@ impl Scenario {
         }
     }
 
-    /// How many updater cadence ticks separate two full syncs on the real-thread
-    /// backend (QuickUpdate's hourly full update, expressed in ticks).
+    /// How many driver sync ticks separate two full syncs on the distributed backend
+    /// (QuickUpdate's hourly full update, expressed in ticks).
     #[must_use]
     pub fn full_sync_every_ticks(&self) -> usize {
         let ratio = self.policy.full_sync_interval_minutes / self.policy.update_interval_minutes;

@@ -4,7 +4,7 @@
 //! Part 1 projects the tree and ring AllGather of the sparse LoRA exchange (paper
 //! Fig. 19, §IV-E) to production-sized payloads; Part 2 reproduces the Fig. 14 cost
 //! table. The measured multi-replica regime runs on real TCP replicas: see
-//! `cargo bench --bench fig19_scalability` and `examples/distributed_serving.rs`.
+//! `cargo bench --bench fig19_scalability` and `examples/scenario_compare.rs`.
 //!
 //! Run with: `cargo run --release --example scalability`
 

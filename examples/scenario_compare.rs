@@ -1,25 +1,27 @@
-//! Scenario comparison: one experiment description, every in-process execution engine.
+//! Scenario comparison: one experiment description, both execution engines.
 //!
 //! Loads a [`Scenario`] from JSON (`scenarios/quick_compare.json` by default, or the
-//! path in `SCENARIO_FILE`), runs it on the analytic and real-thread backends, then
-//! sweeps the real-thread backend over the paper's strategy taxonomy — the measurement
-//! of QuickUpdate and DeltaUpdate cadences under real contention. Prints one unified
-//! report row per run, the analytic-vs-real agreement, and writes the machine-readable
-//! `BENCH_scenario.json` artifact.
+//! path in `SCENARIO_FILE`), runs it on the analytic and distributed backends, then
+//! sweeps the distributed backend (the scenario's `topology.replicas` TCP replicas)
+//! over the paper's strategy taxonomy: QuickUpdate and DeltaUpdate ship from the
+//! driver's shadow trainer as wire frames, LiveUpdate trains on the replicas. Prints
+//! one unified report row per run, the analytic-vs-distributed agreement, and writes
+//! the machine-readable `BENCH_scenario.json` artifact.
 //!
 //! Run with: `cargo run --release --example scenario_compare`
 //! Knobs: `SCENARIO_FILE` (path to a scenario JSON), `SCENARIO_WALL_SECONDS` (wall
-//! seconds per real-thread arm), `SCENARIO_QPS` (offered load).
+//! seconds per distributed arm), `SCENARIO_QPS` (offered load).
 //!
-//! The example asserts the paper's two headline orderings on the measured numbers:
-//! LiveUpdate's P99 degradation vs. the no-update baseline stays under 2x, and
-//! LiveUpdate ships zero parameter bytes while the baselines ship plenty.
+//! The example asserts the paper's headline orderings on the measured numbers:
+//! LiveUpdate's P99 degradation vs. the no-update baseline stays under 2x, and on the
+//! wire LiveUpdate ships zero parameter bytes < QuickUpdate < DeltaUpdate, with its
+//! sparse LoRA exchange below DeltaUpdate's parameter bytes.
 
 use liveupdate_bench::{scenario_metrics, write_bench_json, BenchMetric};
 use liveupdate_repro::core::strategy::StrategyKind;
+use liveupdate_repro::net::{all_backends, DistributedBackend};
 use liveupdate_repro::scenario::{
-    all_backends, auc_agreement, BackendKind, ExecutionBackend, RealtimeBackend, Scenario,
-    ScenarioReport,
+    auc_agreement, BackendKind, ExecutionBackend, Scenario, ScenarioReport,
 };
 
 fn env_f64(name: &str, default: f64) -> f64 {
@@ -56,10 +58,11 @@ fn main() {
     scenario.validate().expect("scenario must validate");
 
     println!(
-        "\n== one scenario, every in-process engine ({} | {} windows x {} req | {} workers) ==",
+        "\n== one scenario, every engine ({} | {} windows x {} req | {} replicas x {} workers) ==",
         scenario.policy.strategy.name(),
         (scenario.horizon.duration_minutes / scenario.horizon.window_minutes).ceil(),
         scenario.horizon.requests_per_window,
+        scenario.topology.replicas,
         scenario.topology.workers,
     );
     // Every registered engine runs the identical description — a backend added to
@@ -79,16 +82,17 @@ fn main() {
             .expect("engine ran")
     };
     let analytic = by_kind(BackendKind::Analytic).clone();
-    let real = by_kind(BackendKind::Realtime).clone();
+    let measured = by_kind(BackendKind::Distributed).clone();
 
     println!("\n== agreement (same scenario, different fidelities) ==");
     println!(
-        "analytic vs real  mean-AUC delta: {:.4}  (real AUC is end-of-run, not prequential)",
-        auc_agreement(&analytic, &real).unwrap_or(f64::NAN)
+        "analytic vs distributed  mean-AUC delta: {:.4}  (distributed AUC is end-of-run, not prequential)",
+        auc_agreement(&analytic, &measured).unwrap_or(f64::NAN)
     );
 
-    // The real-thread strategy sweep: the paper's cost ordering under real contention.
-    println!("\n== real-thread strategy sweep (QuickUpdate / DeltaUpdate on real threads) ==");
+    // The strategy sweep on sockets: the paper's cost ordering under real contention,
+    // with every shipped byte counted on the wire.
+    println!("\n== distributed strategy sweep (sync bytes measured at the socket) ==");
     let strategies = [
         StrategyKind::NoUpdate,
         StrategyKind::DeltaUpdate,
@@ -97,13 +101,13 @@ fn main() {
     ];
     let mut sweep: Vec<ScenarioReport> = Vec::new();
     for strategy in strategies {
-        // The engine loop above already ran the scenario's own strategy on real
-        // threads; reuse that report instead of paying a second identical run.
+        // The engine loop above already ran the scenario's own strategy on sockets;
+        // reuse that report instead of paying a second identical run.
         let report = if strategy == scenario.policy.strategy {
-            real.clone()
+            measured.clone()
         } else {
             let arm = scenario.with_strategy(strategy);
-            RealtimeBackend.run(&arm).expect("realtime sweep arm")
+            DistributedBackend.run(&arm).expect("distributed sweep arm")
         };
         println!("{}", report.summary_line());
         sweep.push(report);
@@ -126,7 +130,7 @@ fn main() {
         // regression.
         println!("(degradation {degradation:.2}x over a short run — re-measuring both arms once)");
         let rerun = |strategy: StrategyKind| {
-            RealtimeBackend
+            DistributedBackend
                 .run(&scenario.with_strategy(strategy))
                 .expect("interference re-measurement")
         };
@@ -141,7 +145,7 @@ fn main() {
             degradation = retry_ratio;
         }
     }
-    println!("\n== interference (measured on real threads) ==");
+    println!("\n== interference (measured on the replicas' real threads) ==");
     println!("P99 NoUpdate baseline: {baseline_p99:.3} ms");
     println!(
         "P99 DeltaUpdate:       {:.3} ms",
@@ -161,14 +165,41 @@ fn main() {
         }
     );
 
-    let live = sweep.iter().find(|r| r.strategy == "LiveUpdate").unwrap();
-    let delta = sweep.iter().find(|r| r.strategy == "DeltaUpdate").unwrap();
+    let by_name = |name: &str| sweep.iter().find(|r| r.strategy == name).expect("arm ran");
+    let live = by_name("LiveUpdate");
+    let quick = by_name("QuickUpdate-5%");
+    let delta = by_name("DeltaUpdate");
+    println!("\n== measured wire bytes (sum of real frame lengths at the socket) ==");
+    println!(
+        "LiveUpdate:     {:>10} B parameters  +  {:>10} B sparse LoRA exchange",
+        live.sync_bytes, live.lora_sync_bytes
+    );
+    println!(
+        "QuickUpdate-5%: {:>10} B parameters  (top-changed rows per tick)",
+        quick.sync_bytes
+    );
+    println!(
+        "DeltaUpdate:    {:>10} B parameters  (full model per tick)",
+        delta.sync_bytes
+    );
     assert!(
         live.publications > 0,
         "LiveUpdate must publish fresh epochs"
     );
-    assert_eq!(live.sync_bytes, 0, "LiveUpdate ships no parameters");
-    assert!(delta.sync_bytes > 0, "DeltaUpdate ships full models");
+    assert_eq!(live.sync_bytes, 0, "LiveUpdate ships zero parameter bytes");
+    assert!(quick.sync_bytes > 0, "QuickUpdate ships rows");
+    assert!(
+        quick.sync_bytes < delta.sync_bytes,
+        "QuickUpdate ({}) must undercut DeltaUpdate ({})",
+        quick.sync_bytes,
+        delta.sync_bytes
+    );
+    assert!(
+        live.lora_sync_bytes < delta.sync_bytes,
+        "the sparse LoRA exchange ({}B) must undercut full-model shipping ({}B)",
+        live.lora_sync_bytes,
+        delta.sync_bytes,
+    );
     assert!(
         degradation < 2.0,
         "LiveUpdate P99 degradation {degradation:.2}x must stay under 2x"
@@ -176,7 +207,7 @@ fn main() {
 
     // Machine-readable artifact: every run of every engine in one document. The sweep
     // arms go first so that when the sweep repeats the scenario's own strategy, the
-    // recorded realtime metrics are the same runs the degradation ratio was computed
+    // recorded distributed metrics are the same runs the degradation ratio was computed
     // from (first writer wins on duplicate names).
     let mut metrics: Vec<BenchMetric> = Vec::new();
     let mut seen = std::collections::HashSet::new();

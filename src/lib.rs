@@ -12,11 +12,11 @@
 //! * [`runtime`] — the real `std::thread` serving runtime: open-loop Poisson load
 //!   generation, deadline batching, epoch-swap LoRA publication, measured QPS/P99.
 //! * [`scenario`] — the unified scenario/backend API: one serializable experiment
-//!   description executed by multiple engines (analytic, real threads, TCP sockets)
-//!   into one report schema.
+//!   description executed by two engines (analytic, TCP sockets) into one report
+//!   schema.
 //! * [`net`] — distributed serving over TCP: the length-prefixed wire protocol,
-//!   socket-based sparse LoRA sync, and the multi-replica execution backend with
-//!   wire-measured sync bytes.
+//!   socket-based sparse LoRA sync and parameter shipments, and the measured
+//!   execution backend (one or more replicas) with wire-measured sync bytes.
 //! * [`obs`] — dependency-free telemetry: the sharded lock-free metrics registry,
 //!   log-linear latency histograms, the request span ring, and the Prometheus-style
 //!   text renderer behind `Frame::Stats` and every report's `telemetry` rows.

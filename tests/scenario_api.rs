@@ -1,12 +1,13 @@
 //! Integration tests of the unified scenario/backend API: JSON round-trips drive
 //! identical runs, one scenario runs unmodified on every registered backend, and every
-//! strategy of the paper's taxonomy executes on the real-thread backend.
+//! strategy of the paper's taxonomy executes on the distributed backend.
 
 use liveupdate_repro::core::strategy::StrategyKind;
 use liveupdate_repro::dlrm::embedding::StorageKind;
+use liveupdate_repro::net::{all_backends, DistributedBackend};
 use liveupdate_repro::scenario::scenario::ScenarioError;
 use liveupdate_repro::scenario::{
-    all_backends, AnalyticBackend, BackendKind, ExecutionBackend, RealtimeBackend, Scenario,
+    AnalyticBackend, BackendKind, ExecutionBackend, Scenario, SyncProvenance,
 };
 
 /// A scenario small enough that every backend finishes in a few seconds.
@@ -126,28 +127,17 @@ fn quantized_serving_matches_f64_auc_on_quick_compare() {
 fn backend_registry_superset_includes_the_distributed_engine() {
     // Validation gates every backend run identically (shipped files are covered by
     // shipped_scenario_files_parse_and_validate; bounded *runs* on the distributed
-    // backend live in tests/distributed_serving.rs). What this pins is the registry:
-    // the superset keeps the in-process engines in fidelity order and appends the TCP
-    // tier, so comparison drivers iterate every engine.
-    let names = |backends: Vec<Box<dyn ExecutionBackend>>| -> Vec<&'static str> {
-        backends.iter().map(|b| b.name()).collect()
-    };
-    assert_eq!(names(all_backends()), vec!["analytic", "realtime"]);
-    assert_eq!(
-        names(liveupdate_repro::net::all_backends_with_distributed()),
-        vec!["analytic", "realtime", "distributed"]
-    );
+    // backend live in tests/distributed_serving.rs). What this pins is the one
+    // registry: the analytic timeline first, then the measured TCP tier, so comparison
+    // drivers iterate every engine.
+    let names: Vec<&str> = all_backends().iter().map(|b| b.name()).collect();
+    assert_eq!(names, vec!["analytic", "distributed"]);
 }
 
 #[test]
 fn one_scenario_runs_unmodified_on_every_backend() {
     let scenario = tiny("all_backends");
-    let in_process: Vec<&str> = all_backends().iter().map(|b| b.name()).collect();
-    assert_eq!(in_process, vec!["analytic", "realtime"]);
-    let backends = liveupdate_repro::net::all_backends_with_distributed();
-    let names: Vec<&str> = backends.iter().map(|b| b.name()).collect();
-    assert_eq!(names, vec!["analytic", "realtime", "distributed"]);
-    for backend in backends {
+    for backend in all_backends() {
         let report = backend
             .run(&scenario)
             .unwrap_or_else(|e| panic!("{} backend failed: {e}", backend.name()));
@@ -181,38 +171,41 @@ fn one_scenario_runs_unmodified_on_every_backend() {
 }
 
 #[test]
-fn realtime_backend_runs_every_strategy_of_the_taxonomy() {
+fn distributed_backend_runs_every_strategy_of_the_taxonomy() {
     for strategy in [
+        StrategyKind::NoUpdate,
         StrategyKind::LiveUpdate,
+        StrategyKind::LiveUpdateFixedRank { rank: 4 },
         StrategyKind::QuickUpdate { fraction: 0.05 },
         StrategyKind::DeltaUpdate,
     ] {
-        let scenario = tiny("realtime_smoke").with_strategy(strategy);
-        let report = RealtimeBackend
+        let mut scenario = tiny("distributed_smoke").with_strategy(strategy);
+        scenario.topology.replicas = 1;
+        let name = strategy.name();
+        let report = DistributedBackend
             .run(&scenario)
-            .unwrap_or_else(|e| panic!("{}: {e}", strategy.name()));
-        assert_eq!(report.backend, BackendKind::Realtime);
-        assert_eq!(report.strategy, strategy.name());
-        assert!(
-            report.requests_served > 0,
-            "{}: no traffic served",
-            strategy.name()
-        );
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(report.backend, BackendKind::Distributed);
+        assert_eq!(report.sync_provenance, SyncProvenance::MeasuredWire);
+        assert_eq!(report.strategy, name);
+        assert!(report.requests_served > 0, "{name}: no traffic served");
         assert!(report.qps.unwrap() > 0.0);
         assert!(report.p99_latency_ms.is_some());
+        if matches!(strategy, StrategyKind::NoUpdate) {
+            assert_eq!(report.sync_bytes, 0, "NoUpdate ships nothing");
+            continue;
+        }
         assert!(
             report.publications > 0,
-            "{}: the updater never published an epoch",
-            strategy.name()
+            "{name}: no replica published an epoch"
         );
         if strategy.trains_locally() {
-            assert_eq!(report.sync_bytes, 0, "LiveUpdate ships no parameters");
+            assert_eq!(report.sync_bytes, 0, "{name} ships no parameters");
             assert!(report.lora_memory_bytes.unwrap() > 0);
         } else {
             assert!(
                 report.sync_bytes > 0,
-                "{}: a parameter-shipping strategy must move bytes",
-                strategy.name()
+                "{name}: a parameter-shipping strategy must move bytes"
             );
         }
     }
