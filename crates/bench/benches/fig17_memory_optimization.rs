@@ -5,12 +5,11 @@
 //! 2. Embedding storage at production geometry (Prod-1M, 2 × 10⁶ rows × d = 16): f64 vs
 //!    f16 vs int8 resident bytes, naive allocating f64 inference vs the quantized
 //!    hot-row-cached scratch path, and the AUC cost of serving quantized. The QPS /
-//!    byte-ratio / AUC-delta numbers land in `BENCH_runtime.json` (merged with
-//!    `runtime_throughput`'s latency metrics) so the perf trajectory is tracked per PR.
+//!    byte-ratio / AUC-delta numbers are printed as rows; the target writes no file.
 
 use liveupdate::config::LiveUpdateConfig;
 use liveupdate::engine::ServingNode;
-use liveupdate_bench::{accuracy_config, black_box, header, merge_bench_json, BenchMetric};
+use liveupdate_bench::{accuracy_config, black_box, header};
 use liveupdate_dlrm::embedding::StorageKind;
 use liveupdate_dlrm::metrics::Auc;
 use liveupdate_dlrm::model::DlrmModel;
@@ -155,27 +154,6 @@ fn production_geometry(requests: usize) {
         i8_auc,
         (i8_auc - f64_auc).abs()
     );
-
-    let metrics = [
-        BenchMetric::new("prod1m_embedding_bytes_f64", f64_bytes as f64, "bytes"),
-        BenchMetric::new("prod1m_embedding_bytes_f16", f16_bytes as f64, "bytes"),
-        BenchMetric::new("prod1m_embedding_bytes_i8", i8_bytes as f64, "bytes"),
-        BenchMetric::new("prod1m_bytes_ratio_f64_over_i8", ratio(i8_bytes), "ratio"),
-        BenchMetric::new("prod1m_qps_naive_f64", naive_qps, "requests/s"),
-        BenchMetric::new("prod1m_qps_quantized_cached", optimized_qps, "requests/s"),
-        BenchMetric::new("prod1m_qps_speedup", optimized_qps / naive_qps, "ratio"),
-        BenchMetric::new("prod1m_auc_f64", f64_auc, "auc"),
-        BenchMetric::new("prod1m_auc_i8", i8_auc, "auc"),
-        BenchMetric::new("prod1m_auc_delta", (i8_auc - f64_auc).abs(), "auc"),
-        BenchMetric::new(
-            "prod1m_hot_cache_bytes",
-            snapshot.hot_rows().memory_bytes() as f64,
-            "bytes",
-        ),
-    ];
-    if let Err(e) = merge_bench_json("runtime", &metrics) {
-        eprintln!("could not write BENCH_runtime.json: {e}");
-    }
 }
 
 fn main() {

@@ -3,12 +3,13 @@
 //! shard of one routed stream, and the driver runs the sparse sync of Algorithm 3 as
 //! frames every update tick, counting every byte at the socket), then projected with the
 //! collective model to 12–48 nodes at production-sized payloads, contrasting the tree
-//! AllGather's O(log N) growth against a naive linear scheme.
+//! AllGather's O(log N) growth against a naive linear scheme. Prints one row per
+//! cluster size and the paper's growth check; writes no file.
 
 use liveupdate::engine::ServingNode;
 use liveupdate::experiment::{warmed_up_model, ExperimentConfig};
 use liveupdate::strategy::StrategyKind;
-use liveupdate_bench::{header, series_row, write_bench_json, BenchMetric};
+use liveupdate_bench::{header, series_row};
 use liveupdate_net::{run_distributed, DistributedConfig};
 use liveupdate_runtime::config::RuntimeConfig;
 use liveupdate_sim::cluster::ClusterSpec;
@@ -31,9 +32,9 @@ fn main() {
         .clone()
         .batch_at(experiment.warmup_minutes, experiment.requests_per_window);
     let measured_sizes = [1usize, 2, 4];
-    // (nodes, wire bytes per sync tick over every replica's control connection, the
-    // same per replica)
-    let measured: Vec<(usize, f64, f64)> = measured_sizes
+    // (nodes, wire bytes per sync tick summed over every replica's control connection,
+    // divided by the replica count)
+    let measured: Vec<(usize, f64)> = measured_sizes
         .iter()
         .map(|&n| {
             let nodes = (0..n)
@@ -65,14 +66,14 @@ fn main() {
             let (report, _) = run_distributed(nodes, &day1_model, &mut workload.clone(), &cfg)
                 .expect("localhost replicas start");
             let wire_bytes = report.lora_sync_bytes as f64 / report.sync_ticks.max(1) as f64;
-            (n, wire_bytes, wire_bytes / n as f64)
+            (n, wire_bytes / n as f64)
         })
         .collect();
 
     // Projection: the protocol exchanges the same rows at production scale, the
     // collective just sees more bytes. Scale the measured per-sync payload up to a few
     // GB per node and price larger clusters with the identical model.
-    let measured_payload = measured.last().map_or(1.0, |m| m.2).max(1.0);
+    let measured_payload = measured.last().map_or(1.0, |m| m.1).max(1.0);
     let production_payload: f64 = 24_000_000_000.0;
     let scale = production_payload / measured_payload;
     let projected_sizes = [12usize, 16, 24, 32, 48];
@@ -82,8 +83,7 @@ fn main() {
         "nodes", "KB/rank/sync", "tree sync (min)", "ring sync (min)", "regime"
     );
     let mut tree_series = Vec::new();
-    let mut metrics = Vec::new();
-    for &(n, wire_bytes, per_rank) in &measured {
+    for &(n, per_rank) in &measured {
         let spec = ClusterSpec::with_nodes(n);
         let tree = spec.intra_collective(CollectiveAlgorithm::TreeAllGather);
         let ring = spec.intra_collective(CollectiveAlgorithm::RingAllGather);
@@ -91,21 +91,6 @@ fn main() {
         let tree_min = tree.allgather_minutes(n, payload);
         let ring_min = ring.allgather_minutes(n, payload);
         tree_series.push((n as f64, tree_min));
-        metrics.push(BenchMetric::new(
-            &format!("wire_bytes_per_sync_n{n}"),
-            wire_bytes,
-            "bytes",
-        ));
-        metrics.push(BenchMetric::new(
-            &format!("tree_sync_n{n}"),
-            tree_min,
-            "minutes",
-        ));
-        metrics.push(BenchMetric::new(
-            &format!("ring_sync_n{n}"),
-            ring_min,
-            "minutes",
-        ));
         println!(
             "{:>8} {:>14.1} {:>18.2} {:>18.2} {:>12}",
             n,
@@ -123,16 +108,6 @@ fn main() {
         let tree_min = tree.allgather_minutes(n, payload);
         let ring_min = ring.allgather_minutes(n, payload);
         tree_series.push((n as f64, tree_min));
-        metrics.push(BenchMetric::new(
-            &format!("tree_sync_projected_n{n}"),
-            tree_min,
-            "minutes",
-        ));
-        metrics.push(BenchMetric::new(
-            &format!("ring_sync_projected_n{n}"),
-            ring_min,
-            "minutes",
-        ));
         println!(
             "{:>8} {:>14} {:>18.2} {:>18.2} {:>12}",
             n, "-", tree_min, ring_min, "projected"
@@ -158,13 +133,4 @@ fn main() {
         "48-node sync stays under 10 minutes: {}",
         if at48 < 10.0 { "yes" } else { "no" }
     );
-
-    metrics.push(BenchMetric::new(
-        "tree_growth_8_to_48",
-        at48 / at8.max(1e-9),
-        "ratio",
-    ));
-    if let Err(e) = write_bench_json("scalability", &metrics) {
-        eprintln!("could not write BENCH_scalability.json: {e}");
-    }
 }

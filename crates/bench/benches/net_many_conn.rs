@@ -13,12 +13,12 @@
 //! (`many_conn_p99_flat`).
 //!
 //! Knobs: `NET_SWEEP_RPS` (offered load, default 600), `NET_SWEEP_SECONDS` (measured
-//! seconds per sweep point, default 3). Writes `BENCH_net.json`, whose only producer
-//! this bench is.
+//! seconds per sweep point, default 3). Prints one row per sweep point and the
+//! flatness verdict; writes no file.
 
 use liveupdate::config::LiveUpdateConfig;
 use liveupdate::engine::ServingNode;
-use liveupdate_bench::{header, write_bench_json, BenchMetric};
+use liveupdate_bench::header;
 use liveupdate_dlrm::model::{DlrmConfig, DlrmModel};
 use liveupdate_net::wire::Frame;
 use liveupdate_net::{MultiConnClient, ReplicaServer};
@@ -212,40 +212,4 @@ fn main() {
         widest.p99_ms / baseline,
         if flat { "FLAT" } else { "NOT FLAT" }
     );
-
-    let mut metrics: Vec<BenchMetric> = Vec::new();
-    for point in &points {
-        let n = point.connections;
-        metrics.push(BenchMetric::new(
-            &format!("many_conn_p99_ms_{n}"),
-            point.p99_ms,
-            "ms",
-        ));
-        metrics.push(BenchMetric::new(
-            &format!("many_conn_mean_ms_{n}"),
-            point.mean_ms,
-            "ms",
-        ));
-        metrics.push(BenchMetric::new(
-            &format!("many_conn_qps_{n}"),
-            point.qps,
-            "requests/s",
-        ));
-        metrics.push(BenchMetric::new(
-            &format!("many_conn_sheds_{n}"),
-            point.sheds as f64,
-            "requests",
-        ));
-    }
-    metrics.push(BenchMetric::new(
-        "many_conn_p99_ratio_2048_over_16",
-        widest.p99_ms / baseline,
-        "ratio",
-    ));
-    metrics.push(BenchMetric::new(
-        "many_conn_p99_flat",
-        f64::from(u8::from(flat)),
-        "bool",
-    ));
-    write_bench_json("net", &metrics).expect("write BENCH_net.json");
 }

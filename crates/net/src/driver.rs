@@ -73,7 +73,9 @@ pub struct DistributedConfig {
     pub training_batch_size: usize,
     /// QuickUpdate: a full-model shipment every this many ticks (0 disables).
     pub full_sync_every_ticks: usize,
-    /// Mean offered load of the open-loop generator, requests/second.
+    /// Mean wall-clock request rate, requests/second, when the diurnal arrival model
+    /// sits at its base rate. The offered load follows the model's rate at the
+    /// simulated time, so a run whose `start_minutes` is 20 offers about 1.19× this.
     pub target_qps: f64,
     /// Wall-clock length of the measured run.
     pub duration: Duration,

@@ -53,9 +53,9 @@ pub struct RuntimeConfig {
     /// The updater arrangement.
     pub update: UpdateMode,
     /// Whether the runtime creates a [`Telemetry`](crate::telemetry::Telemetry)
-    /// registry and instruments its threads with it. On by default; the
-    /// `obs_overhead` bench runs both arms to pin the instrumentation cost on the
-    /// serve path at near zero. With telemetry off,
+    /// registry and instruments its threads with it. On by default; the opt-in
+    /// `tests/telemetry_overhead.rs` gate runs both arms to pin the instrumentation
+    /// cost on the serve path at near zero. With telemetry off,
     /// [`ServingRuntime::scrape`](crate::runtime::ServingRuntime::scrape) returns no
     /// rows.
     pub telemetry: bool,

@@ -184,7 +184,7 @@ impl ScenarioReport {
     }
 
     /// Per-stage latency breakdown read from the `telemetry` rows — the same
-    /// `stage_*` family on all four backends (scraped when a live runtime ran,
+    /// `stage_*` family on both backends (scraped when a live runtime ran,
     /// synthesized otherwise). Stages with no traced requests are omitted.
     #[must_use]
     pub fn breakdown(&self) -> Vec<liveupdate_runtime::report::StageLatency> {
@@ -212,55 +212,6 @@ impl ScenarioReport {
             self.lora_sync_bytes,
             self.sync_provenance.label(),
         )
-    }
-
-    /// Machine-readable metric rows `(name, value, unit)` with names prefixed
-    /// `"<backend>_<strategy>_"`; the bench harness maps these straight onto
-    /// `BenchMetric`s for `BENCH_scenario.json`.
-    #[must_use]
-    pub fn metric_rows(&self) -> Vec<(String, f64, &'static str)> {
-        let prefix = format!(
-            "{}_{}",
-            self.backend.name(),
-            self.strategy.to_lowercase().replace(['-', '%'], "")
-        );
-        let mut rows = vec![
-            (
-                format!("{prefix}_requests"),
-                self.requests_served as f64,
-                "requests",
-            ),
-            (
-                format!("{prefix}_update_events"),
-                self.update_events as f64,
-                "events",
-            ),
-            (
-                format!("{prefix}_update_cost"),
-                self.update_cost_minutes_per_hour,
-                "minutes/hour",
-            ),
-            (
-                format!("{prefix}_sync_bytes"),
-                self.sync_bytes as f64,
-                "bytes",
-            ),
-            (
-                format!("{prefix}_lora_sync_bytes"),
-                self.lora_sync_bytes as f64,
-                "bytes",
-            ),
-        ];
-        if let Some(auc) = self.mean_auc {
-            rows.push((format!("{prefix}_mean_auc"), auc, "auc"));
-        }
-        if let Some(qps) = self.qps {
-            rows.push((format!("{prefix}_qps"), qps, "requests/s"));
-        }
-        if let Some(p99) = self.p99_latency_ms {
-            rows.push((format!("{prefix}_p99"), p99, "ms"));
-        }
-        rows
     }
 }
 
@@ -308,20 +259,6 @@ mod tests {
         let line = r.summary_line();
         assert!(line.contains("analytic"));
         assert!(line.contains("qps=-"));
-    }
-
-    #[test]
-    fn metric_rows_are_prefixed_and_sanitised() {
-        let mut r = ScenarioReport::new("s", BackendKind::Distributed, "QuickUpdate-5%");
-        r.qps = Some(100.0);
-        r.p99_latency_ms = Some(2.0);
-        r.mean_auc = Some(0.6);
-        let rows = r.metric_rows();
-        assert!(rows
-            .iter()
-            .all(|(n, _, _)| n.starts_with("distributed_quickupdate5_")));
-        assert!(rows.iter().any(|(n, _, _)| n.ends_with("_qps")));
-        assert!(rows.iter().any(|(n, _, _)| n.ends_with("_p99")));
     }
 
     #[test]

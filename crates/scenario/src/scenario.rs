@@ -140,7 +140,9 @@ pub struct HorizonSpec {
 /// Knobs that only matter when the scenario runs on real threads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RealtimeSpec {
-    /// Mean offered load of the open-loop Poisson generator, requests/second.
+    /// Mean wall-clock request rate, requests/second, when the diurnal arrival model
+    /// sits at its base rate. The offered load follows the model's rate at the
+    /// simulated time, so a run starting at warm-up minute 20 offers about 1.19× this.
     pub target_qps: f64,
     /// Wall-clock length of the measured run, seconds.
     pub wall_seconds: f64,

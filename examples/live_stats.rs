@@ -11,9 +11,8 @@
 //! Knobs: `OBS_REPLICAS` (servers), `OBS_BEATS` (scrapes), `OBS_BEAT_MS`
 //! (milliseconds between scrapes).
 //!
-//! Merges the final scrape's headline rows into `BENCH_obs.json`.
+//! Prints each beat's scrape as text exposition; writes no file.
 
-use liveupdate_bench::{merge_bench_json, BenchMetric};
 use liveupdate_repro::core::config::LiveUpdateConfig;
 use liveupdate_repro::core::engine::ServingNode;
 use liveupdate_repro::dlrm::model::{DlrmConfig, DlrmModel};
@@ -148,24 +147,4 @@ fn main() {
         last_scrape.iter().any(|(n, _)| n == "epoch_age_us"),
         "freshness gauge missing from the live scrape"
     );
-
-    let get = |name: &str| last_scrape.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
-    let mut metrics = vec![BenchMetric::new(
-        "live_scrape_rows",
-        last_scrape.len() as f64,
-        "rows",
-    )];
-    for (row, unit) in [
-        ("epoch_age_us", "us"),
-        ("publications_total", "publications"),
-        ("serve_latency_us_p99", "us"),
-        ("serve_requests_total", "requests"),
-    ] {
-        if let Some(v) = get(row) {
-            metrics.push(BenchMetric::new(&format!("live_{row}"), v, unit));
-        }
-    }
-    // Merge (not overwrite): BENCH_obs.json also carries the telemetry-overhead rows
-    // from `benches/obs_overhead.rs`; each producer refreshes only its own rows.
-    merge_bench_json("obs", &metrics).expect("merge BENCH_obs.json");
 }

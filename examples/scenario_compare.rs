@@ -5,8 +5,8 @@
 //! sweeps the distributed backend (the scenario's `topology.replicas` TCP replicas)
 //! over the paper's strategy taxonomy: QuickUpdate and DeltaUpdate ship from the
 //! driver's shadow trainer as wire frames, LiveUpdate trains on the replicas. Prints
-//! one unified report row per run, the analytic-vs-distributed agreement, and writes
-//! the machine-readable `BENCH_scenario.json` artifact.
+//! one unified report row per run, the analytic-vs-distributed agreement, the P99
+//! interference and the measured wire bytes; it writes no file.
 //!
 //! Run with: `cargo run --release --example scenario_compare`
 //! Knobs: `SCENARIO_FILE` (path to a scenario JSON), `SCENARIO_WALL_SECONDS` (wall
@@ -17,7 +17,6 @@
 //! wire LiveUpdate ships zero parameter bytes < QuickUpdate < DeltaUpdate, with its
 //! sparse LoRA exchange below DeltaUpdate's parameter bytes.
 
-use liveupdate_bench::{scenario_metrics, write_bench_json, BenchMetric};
 use liveupdate_repro::core::strategy::StrategyKind;
 use liveupdate_repro::net::{all_backends, DistributedBackend};
 use liveupdate_repro::scenario::{
@@ -66,7 +65,7 @@ fn main() {
         scenario.topology.workers,
     );
     // Every registered engine runs the identical description — a backend added to
-    // all_backends() shows up here (and in BENCH_scenario.json) automatically.
+    // all_backends() shows up here automatically.
     let mut engine_reports: Vec<ScenarioReport> = Vec::new();
     for backend in all_backends() {
         let report = backend
@@ -204,24 +203,4 @@ fn main() {
         degradation < 2.0,
         "LiveUpdate P99 degradation {degradation:.2}x must stay under 2x"
     );
-
-    // Machine-readable artifact: every run of every engine in one document. The sweep
-    // arms go first so that when the sweep repeats the scenario's own strategy, the
-    // recorded distributed metrics are the same runs the degradation ratio was computed
-    // from (first writer wins on duplicate names).
-    let mut metrics: Vec<BenchMetric> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for report in sweep.iter().chain(engine_reports.iter()) {
-        for metric in scenario_metrics(report) {
-            if seen.insert(metric.name.clone()) {
-                metrics.push(metric);
-            }
-        }
-    }
-    metrics.push(BenchMetric::new(
-        "liveupdate_p99_degradation",
-        degradation,
-        "ratio",
-    ));
-    write_bench_json("scenario", &metrics).expect("write BENCH_scenario.json");
 }

@@ -109,6 +109,16 @@ fn registered_metrics_equal_the_readme_table() {
     }
     let scrape = scrape_cluster(&[server.addr()]).expect("scrape replica");
     let replica = &scrape.per_replica[0];
+    // The replica samples every request, so the one it served must have recorded its
+    // serve stage; otherwise a tracing cost measured on it would measure nothing.
+    assert!(
+        replica
+            .metrics
+            .iter()
+            .any(|(name, value)| name == "stage_serve_us_count" && *value > 0.0),
+        "a 100%-sampled replica recorded no serve-stage latency: {:?}",
+        replica.metrics
+    );
 
     let histograms: BTreeSet<&str> = replica.histograms.iter().map(|(n, _)| n.as_str()).collect();
     let mut registered: BTreeSet<&str> = histograms.clone();
