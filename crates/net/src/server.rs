@@ -27,6 +27,8 @@
 //! * **The loop never blocks on the model.** Inference submits are `try_send` (a full
 //!   queue sheds with an `InferShed` frame), control frames are fire-and-forget updater
 //!   commands whose completion callback delivers the reply after any publication.
+//! * **The loop preempts the trainer.** Like the runtime's workers, the loop thread
+//!   requests a short scheduler slice ([`liveupdate_runtime::sched`]) when it starts.
 //!
 //! Connection teardown is reply-exact: a peer that half-closes (EOF) or sends `Bye`
 //! stops being read, but the connection stays open until every accepted request has
@@ -164,7 +166,11 @@ impl ReplicaServer {
         };
         let thread = thread::Builder::new()
             .name(format!("lu-net-loop-{}", addr.port()))
-            .spawn(move || event_loop.run())
+            .spawn(move || {
+                // The loop is on every request's path: let it preempt the trainer.
+                liveupdate_runtime::sched::prefer_short_slice();
+                event_loop.run();
+            })
             .expect("spawn event loop thread");
 
         Ok(Self {

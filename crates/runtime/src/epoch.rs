@@ -12,7 +12,9 @@
 //!
 //! The `(epoch, value)` pair lives together under the slot mutex, so a refresh always
 //! adopts a consistent pair; the separate [`AtomicU64`] is only the cheap change
-//! detector. Old snapshots are freed by the last reader that drops its `Arc`.
+//! detector. Old snapshots are freed by the updater: before each publication it keeps
+//! an `Arc` to the value it displaces and drops it once no reader holds it, so a
+//! reader's `refresh` only ever decrements a count and never frees a snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -32,7 +32,9 @@
 //!   round by swapping an `Arc` and bumping an atomic epoch. The serve hot path takes
 //!   **no lock**: one atomic load per batch, an `Arc` clone only when the epoch moved.
 //!   No lock is ever held across training — this is the paper's near-zero-overhead
-//!   property made literal.
+//!   property made literal. The updater, not a worker, frees each displaced snapshot.
+//! * **Scheduling** ([`sched`]) — worker threads request a 100 µs scheduler slice, so
+//!   one woken by a request preempts the trainer mid-publication.
 //! * **Updating** (the private `updater` thread + [`policy`]) — the co-located trainer:
 //!   owns the only mutable [`liveupdate::engine::ServingNode`], ingests served traffic
 //!   into the retention buffer, and on each wall-clock cadence tick runs the mounted
@@ -98,6 +100,7 @@ pub mod report;
 pub mod request;
 pub mod router;
 pub mod runtime;
+pub mod sched;
 pub mod telemetry;
 mod updater;
 mod worker;

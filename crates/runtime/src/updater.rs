@@ -62,21 +62,43 @@ pub(crate) struct UpdaterParams {
     pub policy: Option<Box<dyn UpdatePolicy>>,
 }
 
-/// Publish a fresh snapshot of `node` and record it in the report's history. With
-/// telemetry on, the outgoing snapshot's hot-row-cache tallies are carried into the
-/// fresh one first (so cache telemetry is cumulative across epochs), and the
-/// publication lands in the counters and the span ring.
+/// Snapshots this thread displaced from the publisher, kept until no worker holds
+/// them, so that the updater, never a worker's `refresh`, drops the last reference
+/// and pays for freeing a snapshot.
+///
+/// Each worker holds at most one displaced snapshot, and every publication first
+/// drops the ones nobody else holds, so the list stays at about the worker count plus
+/// one.
+#[derive(Default)]
+struct Displaced(Vec<Arc<ServingSnapshot>>);
+
+impl Displaced {
+    /// Drop every kept snapshot that only this list still references.
+    fn reclaim(&mut self) {
+        self.0.retain(|snapshot| Arc::strong_count(snapshot) > 1);
+    }
+}
+
+/// Publish a fresh snapshot of `node` and record it in the report's history. The
+/// outgoing snapshot is kept in `displaced` (see [`Displaced`]). With telemetry on,
+/// its hot-row-cache tallies are carried into the fresh one first (so cache telemetry
+/// is cumulative across epochs), and the publication lands in the counters and the
+/// span ring.
 fn publish_snapshot(
     node: &ServingNode,
     publisher: &Arc<EpochPublisher<ServingSnapshot>>,
+    displaced: &mut Displaced,
     report: &mut UpdaterReport,
     telemetry: Option<&Telemetry>,
 ) {
     let span_started = telemetry.map(|tel| tel.spans.now_us());
+    displaced.reclaim();
     let mut snapshot = node.snapshot();
+    let outgoing = publisher.load().1;
     if telemetry.is_some() {
-        snapshot.adopt_cache_stats(&publisher.load().1);
+        snapshot.adopt_cache_stats(&outgoing);
     }
+    displaced.0.push(outgoing);
     let checksum = snapshot.checksum();
     let epoch = publisher.publish(snapshot);
     report.publications += 1;
@@ -101,6 +123,7 @@ pub(crate) fn run_updater(
     telemetry: Option<&Telemetry>,
 ) -> (UpdaterReport, ServingNode) {
     let mut report = UpdaterReport::default();
+    let mut displaced = Displaced::default();
     report.published.push((0, initial_checksum));
     let mut node_time = 0.0f64;
     let mut last_update = Instant::now();
@@ -122,7 +145,7 @@ pub(crate) fn run_updater(
             Ok(UpdaterMsg::Command(command)) => {
                 (command.run)(&mut node);
                 if command.publish {
-                    publish_snapshot(&node, publisher, &mut report, telemetry);
+                    publish_snapshot(&node, publisher, &mut displaced, &mut report, telemetry);
                 }
                 (command.done)();
             }
@@ -134,7 +157,7 @@ pub(crate) fn run_updater(
                 let round_started = Instant::now();
                 let rounds = policy.update_block(&mut node, node_time);
                 report.update_rounds += rounds;
-                publish_snapshot(&node, publisher, &mut report, telemetry);
+                publish_snapshot(&node, publisher, &mut displaced, &mut report, telemetry);
                 let round_ms = round_started.elapsed().as_secs_f64() * 1e3;
                 report.round_times_ms.push(round_ms);
                 if let Some(tel) = telemetry {
@@ -158,11 +181,14 @@ pub(crate) fn run_updater(
             UpdaterMsg::Command(command) => {
                 (command.run)(&mut node);
                 if command.publish {
-                    publish_snapshot(&node, publisher, &mut report, telemetry);
+                    publish_snapshot(&node, publisher, &mut displaced, &mut report, telemetry);
                 }
                 (command.done)();
             }
         }
     }
+    // The workers have exited and hold no kept snapshot any more, so this frees them
+    // here, on the updater thread.
+    displaced.reclaim();
     (report, node)
 }

@@ -5,9 +5,12 @@
 //! serve the batch read-only, record per-request latencies, and hand the served traffic
 //! to the updater over the ingest channel. The worker never takes a lock that the
 //! trainer holds — snapshot adoption is the epoch swap's `Arc` clone, and everything
-//! else is thread-local. Telemetry follows the same discipline: every instrumented
-//! point is a relaxed atomic op on a pre-registered handle, and a runtime started with
-//! `telemetry: false` skips even those behind one predictable branch.
+//! else is thread-local, including the inference scratch and predictions buffer a
+//! worker keeps across batches. Each worker asks once for a short scheduler slice
+//! ([`crate::sched`]) so that a request preempts the trainer. Telemetry follows the
+//! same discipline: every instrumented point is a relaxed atomic op on a
+//! pre-registered handle, and a runtime started with `telemetry: false` skips even
+//! those behind one predictable branch.
 
 use crate::batcher::{next_batch, BatcherConfig};
 use crate::epoch::{EpochPublisher, EpochReader};
@@ -17,6 +20,7 @@ use crate::telemetry::Telemetry;
 use crate::updater::{IngestBatch, UpdaterMsg};
 use liveupdate::engine::ServingNode;
 use liveupdate::snapshot::ServingSnapshot;
+use liveupdate_dlrm::model::InferenceScratch;
 use liveupdate_dlrm::sample::MiniBatch;
 use liveupdate_obs::span::{
     STAGE_BATCH_CLOSED, STAGE_REPLY_FLUSHED, STAGE_SERVE_DONE, STAGE_SERVE_START,
@@ -80,11 +84,21 @@ fn finish_span(trace: TraceContext, telemetry: Option<&Telemetry>) {
     trace.finish();
 }
 
+/// A worker's serve buffers, kept across batches so a warm batch allocates nothing
+/// for inference.
+#[derive(Default)]
+struct ServeBuffers {
+    scratch: InferenceScratch,
+    predictions: Vec<f64>,
+}
+
 /// Serve one mini-batch from `snapshot`, fold the results into `report`, deliver
 /// each prediction to any submitter that attached a reply path, and finish each
 /// traced request's span right after its reply is handed off.
+#[allow(clippy::too_many_arguments)]
 fn serve_and_record(
     snapshot: &ServingSnapshot,
+    buffers: &mut ServeBuffers,
     mini_batch: &MiniBatch,
     submitted: &[Instant],
     replies: Vec<Option<ReplyTo>>,
@@ -95,7 +109,8 @@ fn serve_and_record(
     for trace in traces.iter().flatten() {
         trace.stamp(STAGE_SERVE_START);
     }
-    let (serve, predictions) = snapshot.serve_batch_with_predictions(mini_batch);
+    let serve =
+        snapshot.serve_batch_into(mini_batch, &mut buffers.scratch, &mut buffers.predictions);
     let completion = Instant::now();
     for trace in traces.iter().flatten() {
         trace.stamp(STAGE_SERVE_DONE);
@@ -108,7 +123,7 @@ fn serve_and_record(
             tel.serve_latency_us.record(ms * 1e3);
         }
     }
-    for ((reply, trace), &prediction) in replies.into_iter().zip(traces).zip(&predictions) {
+    for ((reply, trace), &prediction) in replies.into_iter().zip(traces).zip(&buffers.predictions) {
         if let Some(reply) = reply {
             reply.complete(prediction);
         }
@@ -184,8 +199,10 @@ pub(crate) fn run_worker(
     processed: &AtomicU64,
     telemetry: Option<&Telemetry>,
 ) -> WorkerReport {
+    crate::sched::prefer_short_slice();
     let mut report = WorkerReport::default();
     let mut tally = EpochTally::new();
+    let mut buffers = ServeBuffers::default();
     while let Some(batch) = next_batch(rx, batcher) {
         let adopted = reader.refresh();
         if let Some(tel) = telemetry {
@@ -202,6 +219,7 @@ pub(crate) fn run_worker(
         let serve_started = Instant::now();
         serve_and_record(
             reader.get(),
+            &mut buffers,
             &mini_batch,
             &submitted,
             replies,
@@ -251,6 +269,7 @@ pub(crate) fn run_sync_worker(
     let mut updater = UpdaterReport::default();
     let mut reader = publisher.reader();
     let mut tally = EpochTally::new();
+    let mut buffers = ServeBuffers::default();
     let mut batches_since_update = 0usize;
     while let Some(batch) = next_batch(rx, batcher) {
         let adopted = reader.refresh();
@@ -268,6 +287,7 @@ pub(crate) fn run_sync_worker(
         let serve_started = Instant::now();
         serve_and_record(
             reader.get(),
+            &mut buffers,
             &mini_batch,
             &submitted,
             replies,

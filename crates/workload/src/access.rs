@@ -136,18 +136,41 @@ impl AccessHistogram {
     /// collapses to 1 and "count ≥ threshold" selects the *entire* touched set, which at
     /// production geometry is exactly the unbounded-memory outcome a caller sizing a
     /// cache needs to avoid.
+    ///
+    /// Selection, not a sort, and one pass with a bounded buffer: touched ids collect
+    /// as candidates, and whenever `2k` have gathered `select_nth_unstable_by` keeps the
+    /// best `k` in `(count desc, id asc)` order. That order is total, so the result is
+    /// exactly the first `k` of the full sort. Ids arrive in ascending order, so after
+    /// a compaction an id whose count does not beat the k-th candidate's can never
+    /// enter and is skipped. At 10⁶ ids the pass costs one read of the counts and
+    /// allocates `2k` entries, however many ids were touched.
     #[must_use]
     pub fn top_k_ids(&self, k: usize) -> Vec<usize> {
-        let mut touched: Vec<(u64, usize)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(id, &c)| (c, id))
-            .collect();
-        touched.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        touched.truncate(k);
-        let mut ids: Vec<usize> = touched.into_iter().map(|(_, id)| id).collect();
+        // No more than every id can be selected; this also bounds the buffer.
+        let k = k.min(self.counts.len());
+        if k == 0 {
+            return Vec::new();
+        }
+        let order = |a: &(u64, usize), b: &(u64, usize)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
+        let mut candidates: Vec<(u64, usize)> = Vec::with_capacity(2 * k);
+        // Count of the k-th best candidate after the last compaction.
+        let mut floor = 0u64;
+        for (id, &count) in self.counts.iter().enumerate() {
+            if count <= floor {
+                continue;
+            }
+            candidates.push((count, id));
+            if candidates.len() == 2 * k {
+                candidates.select_nth_unstable_by(k - 1, order);
+                candidates.truncate(k);
+                floor = candidates[k - 1].0;
+            }
+        }
+        if candidates.len() > k {
+            candidates.select_nth_unstable_by(k - 1, order);
+            candidates.truncate(k);
+        }
+        let mut ids: Vec<usize> = candidates.into_iter().map(|(_, id)| id).collect();
         ids.sort_unstable();
         ids
     }
@@ -163,6 +186,7 @@ impl AccessHistogram {
 mod tests {
     use super::*;
     use crate::zipf::ZipfSampler;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -262,6 +286,35 @@ mod tests {
         assert!(h.top_k_ids(0).is_empty());
         // Ties (equal counts) break deterministically by ascending id.
         assert_eq!(h.top_k_ids(5), vec![0, 1, 7, 11, 13]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_top_k_matches_the_sort_reference(
+            counts in proptest::collection::vec(0u64..4, 1..200),
+            k in 0usize..220,
+        ) {
+            // Counts in 0..4 over up to 200 ids: many ties and many untouched ids.
+            let mut h = AccessHistogram::new(counts.len());
+            for (id, &n) in counts.iter().enumerate() {
+                for _ in 0..n {
+                    h.record(id);
+                }
+            }
+            let mut reference: Vec<(u64, usize)> = counts
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(id, &c)| (c, id))
+                .collect();
+            reference.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            reference.truncate(k);
+            let mut expected: Vec<usize> = reference.into_iter().map(|(_, id)| id).collect();
+            expected.sort_unstable();
+            prop_assert_eq!(h.top_k_ids(k), expected);
+        }
     }
 
     #[test]
